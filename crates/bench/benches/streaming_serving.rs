@@ -11,11 +11,11 @@
 //! * **stop-the-world** — the single-engine serving mode: every arriving
 //!   batch is spliced synchronously (`apply_updates`) the moment it lands
 //!   (the engine has no update log, so ingestion must finish before
-//!   control returns to serving), and each splice pays a full CSR merge
-//!   pass regardless of batch size.
+//!   control returns to serving), and each splice pays its fixed memmove
+//!   and offset-shift cost regardless of batch size.
 //! * **double-buffered** — a `ServingEngine`: producers append to the
 //!   `UpdateLog`, readers query epoch-pinned snapshots, and the writer
-//!   thread coalesces everything pending into one merge pass per publish.
+//!   thread coalesces everything pending into one splice per publish.
 //!
 //! The host is effectively single-core, which keeps the accounting
 //! honest: every cycle the writer thread steals from readers shows up in
@@ -26,7 +26,7 @@
 //! modes end fully caught up. The *worst window* excludes that teardown —
 //! it measures what a reader can observe mid-stream, and the whole point
 //! is that a reader's worst cycle is bounded by query cost plus scheduler
-//! noise, never by a merge pass.
+//! noise, never by a splice.
 //!
 //! **Multi-process legs (ISSUE 8).** The same cycle loop also runs
 //! against real shard-worker processes behind a [`cluster::Coordinator`]
@@ -110,13 +110,13 @@ const SEED: u64 = 0x00CA_C4E7;
 const BATCH_EDGES: usize = 64;
 /// Write pressure: batches arriving per query round. At 6, the write
 /// stream outpaces the query loop — the regime where splice coalescing
-/// pays (a stop-the-world server pays six fixed-cost merge passes per
-/// cycle, the writer thread one per publish).
+/// pays (a stop-the-world server pays six fixed-cost splices per cycle,
+/// the writer thread one per publish).
 const BATCHES_PER_CYCLE: usize = 6;
 /// Reader duty cycle: screening rounds answered per cycle. Several
 /// rounds per cycle is the serving regime (readers query top-k
 /// continuously); it also gives the writer thread wall-time to
-/// interleave its coalesced merges on a loaded core instead of
+/// interleave its coalesced splices on a loaded core instead of
 /// deferring the whole stream to the end-of-run drain.
 const QUERY_ROUNDS_PER_CYCLE: usize = 4;
 
@@ -183,7 +183,7 @@ fn summarize(cycle_times: &[Duration], deferred: Duration) -> Windows {
     sorted.sort_unstable();
     // 95th-percentile window: the top few cycles are scheduler-noise
     // outliers on a loaded single core; the p95 cycle still captures a
-    // stop-the-world merge stall (every one of its cycles pays one),
+    // stop-the-world splice stall (every one of its cycles pays one),
     // while being stable enough to gate run-to-run.
     let p95 = (sorted.len() * 95).div_ceil(100).max(1) - 1;
     Windows {
@@ -239,7 +239,7 @@ fn run_double_buffered(
             // live buffer trails the stream by only a few milliseconds.
             poll_interval: Duration::from_millis(2),
             // Let every drain coalesce the whole pending backlog into a
-            // single merge pass; the default cap is sized for bounded
+            // single splice; the default cap is sized for bounded
             // latency, not a saturating benchmark stream.
             max_deltas_per_cycle: 16 * 1024,
             ..ServingConfig::default()
@@ -315,12 +315,11 @@ fn spawn_fronts(
 ///
 /// The flush is what makes the gated ratios stable *and* honest. Without
 /// it the workers' writer threads coalesce at the scheduler's whim, so a
-/// replica could defer the whole run into one giant merge pass and hide
-/// the 4× splice-work multiplier replication actually costs; with it,
-/// every worker pays one merge pass per cycle — the sharded deployment
-/// four ~¼-graph passes (≈ one full pass of total work, split so a
-/// multi-core host overlaps them), the replicated one four *full*
-/// passes. Queries still read epoch-pinned snapshots and never wait on a
+/// replica could defer the whole run into one giant splice and hide the
+/// 4× splice-work multiplier replication actually costs; with it, every
+/// worker pays one splice per cycle — the sharded deployment four splices
+/// of ~¼-size graphs, the replicated one four splices of the *full*
+/// graph. Queries still read epoch-pinned snapshots and never wait on a
 /// splice mid-cycle. Returns per-cycle times.
 fn run_cluster(
     stream: &[Vec<Vec<GraphDelta>>],

@@ -81,6 +81,14 @@ fn bench_streaming_updates(c: &mut Criterion) {
         });
     });
 
+    // The yardstick for the splice: a full copy of the same graph. The
+    // in-place splice moves the adjacency past the first touched vertex
+    // once; a splice that rebuilt the arrays would cost more than this.
+    group.bench_function("clone_graph", |b| {
+        let graph = screening_graph();
+        b.iter(|| criterion::black_box(graph.clone()).n_edges());
+    });
+
     // Splice + invalidation + warm re-query: the full between-rounds cycle
     // of a streaming service. Only 8 of 200 candidates are touched per
     // batch, so precise invalidation keeps 96% of the cache warm.

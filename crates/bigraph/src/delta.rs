@@ -27,11 +27,14 @@
 //! additions grow a layer by one id each and take effect immediately — a
 //! later delta in the same batch may reference the new vertex.
 //!
-//! Application cost is `O(n + m + b log b)` for a batch of `b` deltas — one
-//! merge pass over the CSR arrays (untouched vertex ranges are copied
-//! wholesale) instead of the `O(m log m)` sort of a full
-//! [`GraphBuilder`](crate::GraphBuilder) rebuild, and no re-validation of
-//! untouched adjacency.
+//! Application cost for a batch of `b` deltas is `O(b log b)` to reduce it
+//! to its net effect, then an in-place splice per direction: touched
+//! vertices are merged in a scratch buffer, the untouched ranges between
+//! them shift with one memmove each (together, one memmove of the
+//! adjacency past the first touched vertex), and the offsets shift in
+//! `O(n)`. There is no [`GraphBuilder`](crate::GraphBuilder) rebuild, no
+//! re-sort, no re-validation of untouched adjacency, and no allocation of
+//! new CSR arrays while the adjacency has spare capacity.
 //!
 //! # Epochs
 //!

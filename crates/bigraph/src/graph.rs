@@ -7,9 +7,11 @@
 //!
 //! The graph is immutable under queries, but supports transactional
 //! streaming mutation through [`BipartiteGraph::apply_update_batch`]: an
-//! [`UpdateBatch`] of edge/vertex deltas lands in
-//! one `O(n + m + b log b)` splice pass over the CSR arrays — no full
-//! rebuild, no re-sort — and bumps the graph's [`epoch`](BipartiteGraph::epoch).
+//! [`UpdateBatch`] of edge/vertex deltas is spliced into the existing CSR
+//! arrays in place — no rebuild, no re-sort, no new allocation while the
+//! adjacency has spare capacity — and bumps the graph's
+//! [`epoch`](BipartiteGraph::epoch). A splice costs one memmove of the
+//! adjacency past the first touched vertex plus an `O(n)` offset shift.
 
 use crate::delta::{AppliedBatch, NetEffect, UpdateBatch};
 use crate::error::{GraphError, Result};
@@ -277,11 +279,17 @@ impl BipartiteGraph {
     ///
     /// Deltas apply in order; edge operations are idempotent (re-adding an
     /// existing edge or removing an absent one is a no-op), so the net
-    /// effect on each edge is decided by the last delta naming it. Cost is
-    /// one `O(n + m + b log b)` merge pass over the CSR arrays — untouched
-    /// vertex ranges are copied wholesale, touched vertices get a sorted
-    /// merge of their old slice with the batch's per-vertex changes — with
-    /// no re-sort and no full rebuild.
+    /// effect on each edge is decided by the last delta naming it.
+    ///
+    /// The batch is spliced in place, once per direction: each touched
+    /// vertex's old slice is merged with its changes in a scratch buffer,
+    /// the untouched ranges between touched vertices shift with one
+    /// `copy_within` each, and the offsets past each touched vertex move by
+    /// the running degree change. Cost is `O(b log b)` for the net effect,
+    /// one memmove of the adjacency past the first touched vertex, and an
+    /// `O(n)` offset shift; the adjacency vectors reallocate only when they
+    /// grow past their capacity. Validation runs before the first
+    /// mutation, and nothing after it can fail.
     ///
     /// A batch that changes anything bumps [`BipartiteGraph::epoch`] by one.
     /// The returned [`AppliedBatch`] lists the touched vertices per layer so
@@ -316,12 +324,11 @@ impl BipartiteGraph {
 
         // Upper direction: `net.adds`/`net.removes` are already sorted by
         // `(upper, lower)`.
-        splice_direction(
+        applied.touched_upper = splice_direction(
             &mut self.upper_offsets,
             &mut self.upper_adj,
             &net.adds,
             &net.removes,
-            &mut applied.touched_upper,
         );
         // Lower direction: mirror the pairs and re-sort by `(lower, upper)`.
         let mirror = |pairs: &[(VertexId, VertexId)]| -> Vec<(VertexId, VertexId)> {
@@ -329,12 +336,11 @@ impl BipartiteGraph {
             m.sort_unstable();
             m
         };
-        splice_direction(
+        applied.touched_lower = splice_direction(
             &mut self.lower_offsets,
             &mut self.lower_adj,
             &mirror(&net.adds),
             &mirror(&net.removes),
-            &mut applied.touched_lower,
         );
 
         self.epoch += 1;
@@ -405,65 +411,122 @@ impl BipartiteGraph {
     }
 }
 
-/// Splices per-vertex sorted change lists into one CSR direction.
+/// Splices per-vertex sorted change lists into one CSR direction, editing
+/// `offsets` and `adj` in place, and returns the touched source vertices
+/// in increasing order.
 ///
 /// `adds`/`removes` are `(src, dst)` pairs sorted by `(src, dst)`; `adds`
 /// must be absent from and `removes` present in the current adjacency
-/// (guaranteed by [`NetEffect::compute`]). Untouched vertex ranges are
-/// copied wholesale; each touched vertex gets a linear merge of its old
-/// slice with its change lists. Touched source vertices are appended to
-/// `touched` in increasing order.
+/// (guaranteed by [`NetEffect::compute`]).
+///
+/// The untouched vertices between two touched ones form a *run* that moves
+/// as one block by the net degree change of every touched vertex before
+/// it. Steps:
+///
+/// 1. merge each touched vertex's old slice with its changes into a
+///    scratch buffer;
+/// 2. grow `adj` by the net growth (no allocation with spare capacity);
+/// 3. move the runs with `copy_within` — left-shifting runs in ascending
+///    order, then right-shifting runs in descending order. A run's
+///    destination never reaches the unmoved source of a run still waiting
+///    its turn, because the final layout keeps runs in vertex order;
+/// 4. write the merged lists into their slots and add the running shift
+///    to each offset range;
+/// 5. truncate `adj` to its final length.
+///
+/// Cost: one memmove of the adjacency past the first touched vertex plus
+/// an `O(n)` offset shift.
 fn splice_direction(
-    offsets: &mut Vec<usize>,
+    offsets: &mut [usize],
     adj: &mut Vec<VertexId>,
     adds: &[(VertexId, VertexId)],
     removes: &[(VertexId, VertexId)],
-    touched: &mut Vec<VertexId>,
-) {
-    if adds.is_empty() && removes.is_empty() {
-        return;
-    }
-    let n = offsets.len() - 1;
-    let mut new_adj = Vec::with_capacity(adj.len() + adds.len() - removes.len());
-    let mut new_offsets = Vec::with_capacity(n + 1);
-    new_offsets.push(0usize);
-    let (mut ai, mut ri) = (0usize, 0usize);
-    for src in 0..n as VertexId {
+) -> Vec<VertexId> {
+    let new_len = adj.len() + adds.len() - removes.len();
+
+    // 1. Merge: touched vertex `touched[i]`'s new list ends at `ends[i]`
+    //    in `merged`, and `shifts[i]` is the degree change through it.
+    let (mut touched, mut ends, mut shifts) = (Vec::new(), Vec::new(), Vec::new());
+    let mut merged: Vec<VertexId> = Vec::new();
+    let (mut adds, mut removes) = (adds, removes);
+    let first_src = |pairs: &[(VertexId, VertexId)]| pairs.first().map_or(VertexId::MAX, |p| p.0);
+    while !adds.is_empty() || !removes.is_empty() {
+        let src = first_src(adds).min(first_src(removes));
+        let (add, rest) = adds.split_at(adds.partition_point(|p| p.0 == src));
+        adds = rest;
+        let (rem, rest) = removes.split_at(removes.partition_point(|p| p.0 == src));
+        removes = rest;
         let old = &adj[offsets[src as usize]..offsets[src as usize + 1]];
-        let a_start = ai;
-        while ai < adds.len() && adds[ai].0 == src {
-            ai += 1;
-        }
-        let r_start = ri;
-        while ri < removes.len() && removes[ri].0 == src {
-            ri += 1;
-        }
-        if a_start == ai && r_start == ri {
-            new_adj.extend_from_slice(old);
-        } else {
-            touched.push(src);
-            let mut add_iter = adds[a_start..ai].iter().map(|&(_, dst)| dst).peekable();
-            let mut rem_iter = removes[r_start..ri].iter().map(|&(_, dst)| dst).peekable();
-            for &dst in old {
-                // Emit pending insertions that sort before the old entry.
-                while add_iter.peek().is_some_and(|&a| a < dst) {
-                    new_adj.push(add_iter.next().expect("peeked"));
-                }
-                if rem_iter.peek() == Some(&dst) {
-                    rem_iter.next();
-                } else {
-                    new_adj.push(dst);
-                }
+        let mut add_iter = add.iter().map(|&(_, dst)| dst).peekable();
+        let mut rem_iter = rem.iter().map(|&(_, dst)| dst).peekable();
+        for &dst in old {
+            // Emit pending insertions that sort before the old entry.
+            while add_iter.peek().is_some_and(|&a| a < dst) {
+                merged.push(add_iter.next().expect("peeked"));
             }
-            new_adj.extend(add_iter);
-            debug_assert!(rem_iter.peek().is_none(), "removal of an absent edge");
+            if rem_iter.peek() == Some(&dst) {
+                rem_iter.next();
+            } else {
+                merged.push(dst);
+            }
         }
-        new_offsets.push(new_adj.len());
+        merged.extend(add_iter);
+        debug_assert!(rem_iter.peek().is_none(), "removal of an absent edge");
+        let growth = add.len() as isize - rem.len() as isize;
+        touched.push(src);
+        ends.push(merged.len());
+        shifts.push(shifts.last().copied().unwrap_or(0) + growth);
     }
-    debug_assert_eq!(ai, adds.len());
-    debug_assert_eq!(ri, removes.len());
-    *offsets = new_offsets;
-    *adj = new_adj;
+
+    // 2. Grow by the net growth.
+    if new_len > adj.len() {
+        adj.resize(new_len, 0);
+    }
+
+    // 3. Move the untouched runs. Run `j >= 1` spans the old adjacency
+    //    between touched vertices `j - 1` and `j` (or the end) and moves by
+    //    `shifts[j - 1]`; run 0 precedes every touched vertex and stays.
+    let n = offsets.len() - 1;
+    let run = |j: usize| -> (std::ops::Range<usize>, isize) {
+        let start = offsets[touched[j - 1] as usize + 1];
+        let end = touched.get(j).map_or(offsets[n], |&t| offsets[t as usize]);
+        (start..end, shifts[j - 1])
+    };
+    for j in 1..=touched.len() {
+        let (src, s) = run(j);
+        if s < 0 {
+            let dest = src.start - s.unsigned_abs();
+            adj.copy_within(src, dest);
+        }
+    }
+    for j in (1..=touched.len()).rev() {
+        let (src, s) = run(j);
+        if s > 0 {
+            let dest = src.start + s.unsigned_abs();
+            adj.copy_within(src, dest);
+        }
+    }
+
+    // 4. Shift the offsets after each touched vertex by the change through
+    //    it, then drop each merged list at its vertex's final start offset.
+    let mut list_start = 0usize;
+    for (i, &t) in touched.iter().enumerate() {
+        let t = t as usize;
+        let list = &merged[list_start..ends[i]];
+        adj[offsets[t]..offsets[t] + list.len()].copy_from_slice(list);
+        list_start = ends[i];
+        let next = touched.get(i + 1).map_or(n, |&u| u as usize);
+        if shifts[i] != 0 {
+            for o in &mut offsets[t + 1..=next] {
+                *o = o.wrapping_add_signed(shifts[i]);
+            }
+        }
+    }
+
+    // 5. Truncate to the final length (capacity is kept for regrowth).
+    adj.truncate(new_len);
+    debug_assert_eq!(offsets[n], new_len);
+    touched
 }
 
 #[cfg(test)]
@@ -664,6 +727,45 @@ mod tests {
         let applied = g.apply_update_batch(&batch).unwrap();
         assert!(applied.is_noop());
         assert!(g.has_edge(0, 0));
+    }
+
+    /// `(ptr, capacity)` of both adjacency buffers.
+    fn adj_buffers(g: &BipartiteGraph) -> [(*const VertexId, usize); 2] {
+        [
+            (g.upper_adj.as_ptr(), g.upper_adj.capacity()),
+            (g.lower_adj.as_ptr(), g.lower_adj.capacity()),
+        ]
+    }
+
+    #[test]
+    fn splice_edits_the_adjacency_buffers_in_place() {
+        // Net zero per direction: u0 gains v3 and u1 loses v1, so each
+        // adjacency keeps its length while entries move between vertices.
+        let mut g = toy();
+        let before = adj_buffers(&g);
+        let mut batch = UpdateBatch::new();
+        batch.add_edge(0, 3).remove_edge(1, 1);
+        g.apply_update_batch(&batch).unwrap();
+        assert_eq!(g.n_edges(), 6);
+        assert_eq!(adj_buffers(&g), before, "a net-zero splice reallocated");
+        let rebuilt = BipartiteGraph::from_edges(2, 4, g.edges().collect::<Vec<_>>()).unwrap();
+        assert_eq!(g, rebuilt);
+
+        // Shrinking keeps the capacity, and regrowing into it reuses it.
+        let mut shrink = UpdateBatch::new();
+        shrink.remove_edge(0, 0).remove_edge(1, 3);
+        g.apply_update_batch(&shrink).unwrap();
+        let mut regrow = UpdateBatch::new();
+        regrow.add_edge(1, 0).add_edge(0, 0);
+        g.apply_update_batch(&regrow).unwrap();
+        assert_eq!(
+            adj_buffers(&g),
+            before,
+            "regrowth within capacity reallocated"
+        );
+        let rebuilt = BipartiteGraph::from_edges(2, 4, g.edges().collect::<Vec<_>>()).unwrap();
+        assert_eq!(g, rebuilt);
+        g.validate().unwrap();
     }
 
     #[test]

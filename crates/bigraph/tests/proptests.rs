@@ -270,6 +270,202 @@ proptest! {
     }
 }
 
+/// Applies `batch` to `g`, then checks the CSR invariants and that `g`
+/// equals a from-scratch `from_edges` rebuild of `expected` on the graph's
+/// current layer sizes.
+fn apply_and_check(
+    g: &mut BipartiteGraph,
+    batch: &UpdateBatch,
+    expected: &HashSet<(u32, u32)>,
+) -> Result<(), TestCaseError> {
+    g.apply_update_batch(batch).unwrap();
+    g.validate().unwrap();
+    let mut edges: Vec<_> = expected.iter().copied().collect();
+    edges.sort_unstable();
+    let rebuilt = BipartiteGraph::from_edges(g.n_upper(), g.n_lower(), edges).unwrap();
+    prop_assert_eq!(&*g, &rebuilt);
+    Ok(())
+}
+
+/// The edges of `g` as a set.
+fn edge_set(g: &BipartiteGraph) -> HashSet<(u32, u32)> {
+    g.edges().collect()
+}
+
+proptest! {
+    /// In-place splice shapes: the untouched runs between touched vertices
+    /// shift left or right by the running degree change. Touched uppers
+    /// alternately gain and lose more edges than the running shift, so the
+    /// shift changes sign at every touched vertex — left- and right-moving
+    /// runs interleave in both directions.
+    #[test]
+    fn splice_with_alternating_run_shifts_matches_rebuild(
+        nu in 4usize..40,
+        picks in prop::collection::vec((0u32..40, 1usize..4, 0u32..24), 4..16),
+    ) {
+        // Upper u is adjacent to the 12 lowers of its parity: every upper
+        // has 12 present and 12 absent edges to draw from.
+        const NL: u32 = 24;
+        let base = (0..nu as u32).flat_map(|u| (0..NL).filter(move |v| (u + v) % 2 == 0).map(move |v| (u, v)));
+        let mut g = BipartiteGraph::from_edges(nu, NL as usize, base).unwrap();
+        let mut expected = edge_set(&g);
+        let mut touched: Vec<(u32, usize, u32)> =
+            picks.into_iter().map(|(u, r, at)| (u % nu as u32, r, at)).collect();
+        touched.sort_unstable_by_key(|&(u, ..)| u);
+        touched.dedup_by_key(|&mut (u, ..)| u);
+        let mut batch = UpdateBatch::new();
+        let (mut shift, mut sign_changes) = (0isize, 0usize);
+        for (i, &(u, r, at)) in touched.iter().enumerate() {
+            // Overshoot the running shift by `r`, flipping its sign.
+            let count = shift.unsigned_abs() + r;
+            let grow = i % 2 == 0;
+            let pool: Vec<u32> = (0..NL)
+                .map(|k| (at + k) % NL)
+                .filter(|&v| expected.contains(&(u, v)) != grow)
+                .take(count)
+                .collect();
+            prop_assert_eq!(pool.len(), count);
+            for v in pool {
+                if grow {
+                    batch.add_edge(u, v);
+                    expected.insert((u, v));
+                } else {
+                    batch.remove_edge(u, v);
+                    expected.remove(&(u, v));
+                }
+            }
+            let next = if grow { shift + count as isize } else { shift - count as isize };
+            if i > 0 && (next > 0) != (shift > 0) {
+                sign_changes += 1;
+            }
+            shift = next;
+        }
+        prop_assert!(touched.len() < 4 || sign_changes >= 3);
+        apply_and_check(&mut g, &batch, &expected)?;
+    }
+
+    /// Batches touching the first and the last vertex of both layers: the
+    /// leading run is empty, and the trailing run is empty or shifts.
+    #[test]
+    fn splice_touching_first_and_last_vertex_matches_rebuild(
+        (nu, nl, edges) in arb_graph(),
+        extra in prop::collection::vec((0u32..20, 0u32..20, any::<bool>()), 0..12),
+        ends in prop::collection::vec(any::<bool>(), 4..5),
+    ) {
+        let mut g = BipartiteGraph::from_edges(nu, nl, edges).unwrap();
+        let mut expected = edge_set(&g);
+        let (last_u, last_l) = (nu as u32 - 1, nl as u32 - 1);
+        let corners = [(0, 0), (0, last_l), (last_u, 0), (last_u, last_l)];
+        let toggles = corners
+            .iter()
+            .zip(&ends)
+            .map(|(&(u, v), &add)| (u, v, add))
+            .chain(extra.iter().map(|&(u, v, add)| (u % nu as u32, v % nl as u32, add)));
+        let mut batch = UpdateBatch::new();
+        for (u, v, add) in toggles {
+            if add {
+                batch.add_edge(u, v);
+                expected.insert((u, v));
+            } else {
+                batch.remove_edge(u, v);
+                expected.remove(&(u, v));
+            }
+        }
+        apply_and_check(&mut g, &batch, &expected)?;
+    }
+
+    /// A batch that removes every edge of one vertex leaves it with an
+    /// empty slice, while other vertices keep changing around it.
+    #[test]
+    fn splice_emptying_a_vertex_matches_rebuild(
+        (nu, nl, edges) in arb_graph(),
+        victim in 0u32..20,
+        extra in prop::collection::vec((0u32..20, 0u32..20), 0..8),
+    ) {
+        let mut g = BipartiteGraph::from_edges(nu, nl, edges).unwrap();
+        let mut expected = edge_set(&g);
+        let victim = victim % nu as u32;
+        let mut batch = UpdateBatch::new();
+        for (u, v) in extra {
+            let (u, v) = (u % nu as u32, v % nl as u32);
+            if u != victim {
+                batch.add_edge(u, v);
+                expected.insert((u, v));
+            }
+        }
+        for &v in g.neighbors(Layer::Upper, victim) {
+            batch.remove_edge(victim, v);
+            expected.remove(&(victim, v));
+        }
+        apply_and_check(&mut g, &batch, &expected)?;
+        prop_assert_eq!(g.degree(Layer::Upper, victim), 0);
+    }
+
+    /// `AddVertex` followed by edges on the new vertex in the same batch:
+    /// the new vertices start empty at the end of each direction and are
+    /// then spliced like any other touched vertex.
+    #[test]
+    fn splice_add_vertex_then_edges_matches_rebuild(
+        (nu, nl, edges) in arb_graph(),
+        new_upper in 0usize..3,
+        new_lower in 1usize..3,
+        links in prop::collection::vec((0u32..25, 0u32..25), 1..12),
+    ) {
+        let mut g = BipartiteGraph::from_edges(nu, nl, edges).unwrap();
+        let mut expected = edge_set(&g);
+        let (n_upper, n_lower) = (nu + new_upper, nl + new_lower);
+        let mut batch = UpdateBatch::new();
+        for _ in 0..new_upper {
+            batch.add_vertex(Layer::Upper);
+        }
+        for _ in 0..new_lower {
+            batch.add_vertex(Layer::Lower);
+        }
+        // Every link lands on a new lower vertex, and on a new upper one
+        // whenever the batch adds any.
+        for (u, v) in links {
+            let u = if new_upper > 0 { nu as u32 + u % new_upper as u32 } else { u % n_upper as u32 };
+            let v = nl as u32 + v % new_lower as u32;
+            batch.add_edge(u, v);
+            expected.insert((u, v));
+        }
+        apply_and_check(&mut g, &batch, &expected)?;
+        prop_assert_eq!((g.n_upper(), g.n_lower()), (n_upper, n_lower));
+    }
+
+    /// Shrink-then-regrow cycles: each shrink leaves spare capacity in the
+    /// adjacency vectors and the following regrowth splices into it (the
+    /// graph unit tests pin that no reallocation happens).
+    #[test]
+    fn splice_shrink_then_regrow_matches_rebuild(
+        (nu, nl, edges) in arb_graph(),
+        rounds in prop::collection::vec((1usize..6, 1usize..9, 0u32..400), 1..5),
+    ) {
+        let mut g = BipartiteGraph::from_edges(nu, nl, edges).unwrap();
+        let mut expected = edge_set(&g);
+        for (stride, regrow, salt) in rounds {
+            // Shrink: drop every `stride`-th surviving edge.
+            let mut shrink = UpdateBatch::new();
+            let mut sorted: Vec<_> = expected.iter().copied().collect();
+            sorted.sort_unstable();
+            for &(u, v) in sorted.iter().step_by(stride) {
+                shrink.remove_edge(u, v);
+                expected.remove(&(u, v));
+            }
+            apply_and_check(&mut g, &shrink, &expected)?;
+            // Regrow: add back more edges than were dropped where possible.
+            let mut grow = UpdateBatch::new();
+            for k in 0..(sorted.len() / stride + regrow) as u32 {
+                let x = salt.wrapping_add(k.wrapping_mul(7919));
+                let (u, v) = (x % nu as u32, (x / 7) % nl as u32);
+                grow.add_edge(u, v);
+                expected.insert((u, v));
+            }
+            apply_and_check(&mut g, &grow, &expected)?;
+        }
+    }
+}
+
 proptest! {
     /// Bit-packed intersection (popcount, membership probes, and the
     /// degree-aware dispatcher) equals the sorted-merge intersection on the

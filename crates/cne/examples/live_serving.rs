@@ -6,12 +6,12 @@
 //! the same workload through a [`ServingEngine`]: producer threads append
 //! edge events to the engine's sharded update log *while* reader threads
 //! screen candidates through epoch-pinned snapshots, and a dedicated
-//! writer thread coalesces everything pending into one merge pass per
+//! writer thread coalesces everything pending into one splice per
 //! publish.
 //!
 //! What to watch in the output:
 //!
-//! * readers report **QPS** — no query round ever blocks on a merge, so
+//! * readers report **QPS** — no query round ever blocks on a splice, so
 //!   throughput stays flat whether or not the stream is bursting;
 //! * readers report **snapshot lag** — how many appended deltas were not
 //!   yet visible at the pinned epoch. Lag is bounded by the writer's
@@ -169,7 +169,7 @@ fn main() {
     );
     println!(
         "Writer: {} epochs published for {} appended deltas ({} rejected) — \
-         one coalesced merge pass per publish",
+         one coalesced splice per publish",
         stats.epoch, stats.appended, stats.rejected,
     );
 

@@ -110,7 +110,7 @@
 //!
 //! 1. **Validate, then splice.** The batch is validated against the current
 //!    graph first; a rejected batch leaves graph, cache, and generation
-//!    untouched. A valid batch lands in one merge pass over the CSR arrays.
+//!    untouched. A valid batch is spliced into the CSR arrays in place.
 //! 2. **Precise invalidation.** Only the *touched* vertices' cached
 //!    [`PackedSet`]s are dropped ([`AdjacencyStore::invalidate_applied`]);
 //!    every other entry stays warm. Cached [`LayerStats`] are cleared (any
@@ -147,15 +147,15 @@
 //!   [`CneError::StaleGeneration`] rejection carries the current
 //!   generation, so the helper re-resolves the cursor and retries within a
 //!   bound — staleness is a *retry hint*, not a failure. The cost of this
-//!   model is the stop-the-world splice: every batch blocks queries for a
-//!   full CSR merge pass.
+//!   model is the stop-the-world splice: every batch blocks queries while
+//!   the CSR is spliced.
 //! * **Serving tier** — [`crate::serving::ServingEngine`] removes that
 //!   stall with epoch-pinned double-buffering. Readers pin a snapshot
 //!   (`snapshot()` — a slot CAS, no locks, no allocation), query it like
 //!   any engine, and retire it by dropping; a dedicated writer thread
 //!   drains the producer-sharded [`bigraph::UpdateLog`] in bounded
 //!   batches, splices the *offline* buffer (coalescing everything pending
-//!   into one merge pass), pre-warms the touched bitmaps, and publishes by
+//!   into one splice), pre-warms the touched bitmaps, and publishes by
 //!   bumping the epoch. Queries never wait on a splice, and every pinned
 //!   answer is byte-identical to a cold engine at the pinned epoch
 //!   (`tests/serving_swap.rs`). See the [`crate::serving`] module docs for

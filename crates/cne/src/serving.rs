@@ -51,8 +51,10 @@
 //! both buffers see the identical batch sequence — the *backlog*), applies
 //! the freshly drained batch, pre-warms the touched vertices' bitmaps, and
 //! publishes by bumping the epoch. Coalescing is the point: one drained
-//! batch is one CSR merge pass regardless of how many producers appended,
-//! so sustained ingest cost is `O(n + m)` per cycle, not per arrival.
+//! batch is one in-place CSR splice per buffer regardless of how many
+//! producers appended, so the splice's fixed cost — a memmove of the
+//! adjacency past the first touched vertex plus an `O(n)` offset shift —
+//! is paid per cycle, not per arrival.
 //!
 //! # Pre-warm policy
 //!
@@ -343,10 +345,10 @@ fn apply_cycle(shared: &Shared, backlog: &mut Vec<UpdateBatch>, fresh: Option<Up
             .expect("serving buffer poisoned");
         let mut receipts = Vec::new();
         // Coalesce the backlog replay and the fresh splice into ONE CSR
-        // merge pass: concatenation preserves delta order, so the net
-        // effect is identical to sequential application, and the merge's
-        // fixed O(edges) cost is paid once per publish instead of once
-        // per batch. Only if the combined batch is rejected do we fall
+        // splice: concatenation preserves delta order, so the net effect
+        // is identical to sequential application, and the splice's fixed
+        // memmove + offset-shift cost is paid once per publish instead of
+        // once per batch. Only if the combined batch is rejected do we fall
         // back to batch-at-a-time — the backlog already applied cleanly
         // to the other buffer from an identical state, so the offending
         // deltas must be in `fresh`.

@@ -42,10 +42,23 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
+/// How many times [`allocations_during`] repeats each measured call.
+const REPEATS: usize = 5;
+
+/// The fewest allocations counted across [`REPEATS`] runs of `f`, plus the
+/// last result. The counter is process-wide, so another thread (the
+/// serving writer settling in, the test harness) can only *add* to a
+/// reading; the minimum is the call's own count once one run goes clean.
+fn allocations_during<R>(mut f: impl FnMut() -> R) -> (usize, R) {
+    let mut fewest = usize::MAX;
+    let mut result = None;
+    for _ in 0..REPEATS {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let r = f();
+        fewest = fewest.min(ALLOCATIONS.load(Ordering::Relaxed) - before);
+        result = Some(r);
+    }
+    (fewest, result.expect("REPEATS > 0"))
 }
 
 /// 120 upper vertices over 4 096 items (64 packed words): every candidate
@@ -161,7 +174,9 @@ fn warm_batch_inner_loop_is_allocation_free_per_candidate() {
     // The epoch-pinned snapshot must add zero allocations on the warm
     // path: pinning is a slot CAS plus an uncontended read guard, and the
     // query runs the same engine code as above. A long poll interval
-    // parks the writer thread for the whole measurement.
+    // parks the writer thread between cycles, but its start-up
+    // allocations can still land inside a measured window; the minimum
+    // over repeats in `allocations_during` filters them out.
     let serving = cne::serving::ServingEngine::with_config(
         g.clone(),
         cne::serving::ServingConfig {
