@@ -31,7 +31,9 @@
 //! **Multi-process legs (ISSUE 8).** The same cycle loop also runs
 //! against real shard-worker processes behind a [`cluster::Coordinator`]
 //! (the bench binary re-executes itself as each worker — see
-//! [`cluster::maybe_run_worker_from_env`]), in three deployments:
+//! [`cluster::maybe_run_worker_from_env`] — and every cluster is spawned
+//! from a sequence-0 snapshot of the screening graph), in three
+//! deployments:
 //!
 //! * `cluster_1worker` — one front, one worker owning the whole graph:
 //!   the single-process serving tier plus the process boundary.
@@ -53,20 +55,13 @@
 //! Output lines use the same `bench: <id> <t> <unit>/iter` grammar
 //! `bench_check` parses.
 //!
-//! **Persistence legs (ISSUE 9).** Fast-restart cost, measured both
-//! in-process and across the process boundary:
-//!
-//! * `cold_text_build` vs `snapshot_load` — rebuilding a warm engine
-//!   from the text edge list (read + parse + CSR build + warm passes
-//!   over both layers) against adopting a binary [`bigraph::snapshot`]
-//!   (read + validate + install pre-packed bitmaps straight into the
-//!   adjacency store — the same end state).
-//! * `spawn_bootstrap_frames` vs `spawn_bootstrap_snapshot` — spawning
-//!   a 4-shard cluster by shipping per-shard edge lists over the
-//!   sockets against restricting an already-captured snapshot image
-//!   into per-shard files and shipping only their paths
-//!   (`BootstrapSnapshot`); each worker adopts just its own shard's
-//!   bytes.
+//! **Persistence leg.** In-process fast-restart cost:
+//! `cold_text_build` vs `snapshot_load` — rebuilding a warm engine from
+//! the text edge list (read + parse + CSR build + warm passes over both
+//! layers) against adopting a binary [`bigraph::snapshot`] (read +
+//! validate + install pre-packed bitmaps straight into the adjacency
+//! store — the same end state). Cluster spawn cost is measured end to
+//! end by the repo benchmark (`cluster.coordinator.spawn_s`).
 //!
 //! **Rebalance leg (ISSUE 10).** A 2-shard cluster keeps answering the
 //! screening query while it splits live to 4 shards and merges back,
@@ -85,9 +80,7 @@
 //! (the ingest-scaling edge),
 //! `sustained_cluster_4worker_sharded / sustained_cluster_1worker`
 //! (fan-out overhead must stay bounded),
-//! `snapshot_load / cold_text_build` (the fast-restart edge),
-//! `spawn_bootstrap_snapshot / spawn_bootstrap_frames` (snapshot
-//! bootstrap must keep beating edge-frame bootstrap), and
+//! `snapshot_load / cold_text_build` (the fast-restart edge), and
 //! `rebalance_worst_query / rebalance_steady_query` (a mid-rebalance
 //! query must stay bounded by query cost, never pay a splice or a
 //! snapshot cut).
@@ -276,10 +269,11 @@ fn run_double_buffered(
 }
 
 /// Spawns a cluster deployment: `n_fronts` coordinators, each fronting
-/// `shards_per_front` shard workers over the Upper layer of `graph`. The
-/// workers are this very binary re-executed (`current_exe`), so `cargo
-/// bench` needs no other crate's binaries built. Returns the fronts plus
-/// the socket directory to remove after teardown.
+/// `shards_per_front` shard workers over the Upper layer of `graph`,
+/// bootstrapped from one shared sequence-0 snapshot. The workers are
+/// this very binary re-executed (`current_exe`), so `cargo bench` needs
+/// no other crate's binaries built. Returns the fronts plus the socket
+/// directory to remove after teardown.
 fn spawn_fronts(
     graph: &BipartiteGraph,
     shards_per_front: usize,
@@ -288,12 +282,13 @@ fn spawn_fronts(
 ) -> (Vec<Coordinator>, PathBuf) {
     let exe = std::env::current_exe().expect("bench exe");
     let dir = std::env::temp_dir().join(format!("cne-serving-bench-{}-{tag}", std::process::id()));
+    let snapshot = GraphSnapshot::capture(graph, 0);
     let fronts = (0..n_fronts)
         .map(|i| {
             let front_dir = dir.join(format!("front-{i}"));
             std::fs::create_dir_all(&front_dir).expect("socket dir");
-            Coordinator::spawn_program(
-                graph,
+            Coordinator::spawn_program_from_snapshot(
+                &snapshot,
                 Layer::Upper,
                 shards_per_front,
                 &front_dir,
@@ -379,11 +374,10 @@ fn parse_edge_file(text: &str) -> BipartiteGraph {
     BipartiteGraph::from_edges(n_upper, n_lower, edges).expect("valid edge file")
 }
 
-/// The persistence legs: in-process restart (text rebuild vs snapshot
-/// adoption) and cluster spawn (edge frames vs snapshot bootstrap), each
-/// best-of-`reps`. Returns `[cold_text_build, snapshot_load,
-/// spawn_bootstrap_frames, spawn_bootstrap_snapshot]`.
-fn run_bootstrap_legs(graph: &BipartiteGraph, reps: usize) -> [Duration; 4] {
+/// The persistence leg: in-process restart, text rebuild vs snapshot
+/// adoption, each best-of-`reps`. Returns `[cold_text_build,
+/// snapshot_load]`.
+fn run_bootstrap_legs(graph: &BipartiteGraph, reps: usize) -> [Duration; 2] {
     let dir = std::env::temp_dir().join(format!("cne-serving-bench-{}-boot", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bootstrap scratch dir");
     // Untimed setup: materialize both restart sources once.
@@ -395,12 +389,12 @@ fn run_bootstrap_legs(graph: &BipartiteGraph, reps: usize) -> [Duration; 4] {
     }
     std::fs::write(&edges_path, &text).expect("write edge file");
     let snap_path = dir.join("screening.snap");
-    let snap_img = GraphSnapshot::capture(graph, 0);
-    snap_img.write_to(&snap_path).expect("write snapshot");
+    GraphSnapshot::capture(graph, 0)
+        .write_to(&snap_path)
+        .expect("write snapshot");
 
-    let exe = std::env::current_exe().expect("bench exe");
-    let mut best = [Duration::MAX; 4];
-    for rep in 0..reps {
+    let mut best = [Duration::MAX; 2];
+    for _ in 0..reps {
         // Cold restart from text: read + parse + CSR build + warm passes.
         // Both layers are warmed because that is the state a snapshot
         // restores — adoption pre-populates every dense vertex of both
@@ -421,45 +415,6 @@ fn run_bootstrap_legs(graph: &BipartiteGraph, reps: usize) -> [Duration; 4] {
         best[1] = best[1].min(start.elapsed());
         assert_eq!(engine.graph().n_edges(), graph.n_edges());
         drop((engine, snap));
-
-        // 4-shard cluster spawn, edge lists crossing the sockets.
-        let frames_dir = dir.join(format!("frames-{rep}"));
-        std::fs::create_dir_all(&frames_dir).expect("socket dir");
-        let start = Instant::now();
-        let cluster = Coordinator::spawn_program(
-            graph,
-            Layer::Upper,
-            4,
-            &frames_dir,
-            ClusterConfig::default(),
-            &exe,
-        )
-        .expect("frame-bootstrap spawn");
-        best[2] = best[2].min(start.elapsed());
-        drop(cluster);
-
-        // 4-shard cluster spawn from the already-captured snapshot image
-        // (the serving tier's quiet-point artifact). The shard directory
-        // is persistent across reps: the first rep pays the one-time
-        // shard-file derivation, later reps measure the restart an
-        // operator actually repeats — the manifest revalidates the
-        // existing artifacts, so path frames and worker-side adoption
-        // are what's on the clock. Best-of-reps therefore reports the
-        // warm-restart figure the gate is about.
-        let snap_dir = dir.join("snap-spawn");
-        std::fs::create_dir_all(&snap_dir).expect("socket dir");
-        let start = Instant::now();
-        let cluster = Coordinator::spawn_program_from_snapshot(
-            &snap_img,
-            Layer::Upper,
-            4,
-            &snap_dir,
-            ClusterConfig::default(),
-            &exe,
-        )
-        .expect("snapshot-bootstrap spawn");
-        best[3] = best[3].min(start.elapsed());
-        drop(cluster);
     }
     let _ = std::fs::remove_dir_all(&dir);
     best
@@ -658,10 +613,10 @@ fn main() {
         }
     }
 
-    // The persistence legs: one "iter" is one full restart (engine
-    // rebuild or 4-shard cluster spawn), best of two.
+    // The persistence leg: one "iter" is one full engine restart, best
+    // of three.
     let graph = screening_graph();
-    let [cold_text, snap_load, spawn_frames, spawn_snap] = run_bootstrap_legs(&graph, 3);
+    let [cold_text, snap_load] = run_bootstrap_legs(&graph, 3);
     drop(graph);
 
     // The live-rebalance leg: one "iter" is one screening query; the
@@ -681,8 +636,6 @@ fn main() {
     }
     print_bench("cold_text_build", cold_text);
     print_bench("snapshot_load", snap_load);
-    print_bench("spawn_bootstrap_frames", spawn_frames);
-    print_bench("spawn_bootstrap_snapshot", spawn_snap);
     print_bench("rebalance_steady_query", rebal_steady);
     print_bench("rebalance_worst_query", rebal_worst);
     println!(
@@ -719,13 +672,9 @@ fn main() {
     );
     println!(
         "info: streaming_serving bootstrap cold_text_ms={:.1} snapshot_load_ms={:.1} \
-         restart_speedup={:.2}x spawn_frames_ms={:.1} spawn_snapshot_ms={:.1} \
-         spawn_speedup={:.2}x",
+         restart_speedup={:.2}x",
         cold_text.as_secs_f64() * 1e3,
         snap_load.as_secs_f64() * 1e3,
         cold_text.as_secs_f64() / snap_load.as_secs_f64(),
-        spawn_frames.as_secs_f64() * 1e3,
-        spawn_snap.as_secs_f64() * 1e3,
-        spawn_frames.as_secs_f64() / spawn_snap.as_secs_f64(),
     );
 }

@@ -120,9 +120,10 @@ const GATES: &[Gate] = &[
         denominator: "micro/streaming_serving/worst_window_stop_the_world",
     },
     // Multi-process serving gates (ISSUE 8): all legs come from the same
-    // run under the same bounded-staleness contract (every cycle's deltas
-    // published cluster-wide before the cycle ends), so merge counts are
-    // pinned and the ratios are hardware-neutral.
+    // run, every cluster is spawned from the same sequence-0 snapshot, and
+    // all run under the same bounded-staleness contract (every cycle's
+    // deltas published cluster-wide before the cycle ends), so merge
+    // counts are pinned and the ratios are hardware-neutral.
     //
     // Ingest scaling — the headline: partitioning the update stream means
     // 4 shard workers splice ~¼-size graphs where 4 full replicas splice
@@ -147,8 +148,11 @@ const GATES: &[Gate] = &[
         numerator: "micro/streaming_serving/sustained_cluster_4worker_sharded",
         denominator: "micro/streaming_serving/sustained_cluster_1worker",
     },
-    // Persistence gates (ISSUE 9): both sides of each ratio come from the
-    // same run, so the ratios are hardware-neutral.
+    // Persistence gate: both sides of the ratio come from the
+    // same run, so it is hardware-neutral. (Cluster spawn has one path,
+    // snapshot bootstrap, so it has no same-run competitor to gate
+    // against; the repo benchmark reports it end to end as
+    // `cluster.coordinator.spawn_s`.)
     //
     // Fast restart — adopting a binary snapshot (read + checksum validate
     // + install pre-packed bitmaps into the adjacency store) must keep
@@ -159,16 +163,6 @@ const GATES: &[Gate] = &[
         name: "snapshot load vs cold text build (fast restart)",
         numerator: "micro/streaming_serving/snapshot_load",
         denominator: "micro/streaming_serving/cold_text_build",
-    },
-    // Cluster restart — spawning 4 shard workers from per-shard restricted
-    // snapshot files (path-only BootstrapSnapshot frames; the coordinator
-    // reuses the files across restarts behind a byte-exact manifest) must
-    // keep beating the edge-frame bootstrap that ships every shard's edge
-    // list over its socket. Recorded at 1.29x.
-    Gate {
-        name: "cluster snapshot bootstrap vs edge-frame bootstrap",
-        numerator: "micro/streaming_serving/spawn_bootstrap_snapshot",
-        denominator: "micro/streaming_serving/spawn_bootstrap_frames",
     },
     // Live-rebalance gate (ISSUE 10): a query issued between rebalance
     // steps must stay bounded by query cost — the heavy work (snapshot
@@ -419,14 +413,6 @@ mod tests {
         m.insert("micro/streaming_serving/cold_text_build".into(), 220.1e6);
         m.insert("micro/streaming_serving/snapshot_load".into(), 40.0e6);
         m.insert(
-            "micro/streaming_serving/spawn_bootstrap_frames".into(),
-            157.1e6,
-        );
-        m.insert(
-            "micro/streaming_serving/spawn_bootstrap_snapshot".into(),
-            121.9e6,
-        );
-        m.insert(
             "micro/streaming_serving/rebalance_steady_query".into(),
             5.0e6,
         );
@@ -588,20 +574,15 @@ bench: micro/streaming_serving/sustained_double_buffered          3.326 ms/iter
     fn snapshot_gates_catch_a_lost_restart_edge() {
         let base = baseline();
         // The snapshot loader degrades to cold-build cost (bulk adoption
-        // edge gone) and the snapshot cluster spawn to edge-frame cost
-        // (shard-file reuse edge gone): both persistence gates fail,
-        // everything else stays green.
+        // edge gone): the persistence gate fails, everything else stays
+        // green.
         let mut measured = base.clone();
         *measured
             .get_mut("micro/streaming_serving/snapshot_load")
             .unwrap() = 220.1e6;
-        *measured
-            .get_mut("micro/streaming_serving/spawn_bootstrap_snapshot")
-            .unwrap() = 250.0e6;
         let failures = check(&base, &measured).unwrap();
-        assert_eq!(failures.len(), 2);
-        assert!(failures.iter().any(|f| f.contains("fast restart")));
-        assert!(failures.iter().any(|f| f.contains("snapshot bootstrap")));
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("fast restart"));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Spawned by a [`cluster::Coordinator`] with its socket path and vertex
 //! range in the environment (see [`cluster::worker`]); everything else —
-//! bootstrap graph, update stream, queries — arrives over the socket.
+//! the path of its bootstrap snapshot, the update stream, queries —
+//! arrives over the socket.
 
 fn main() {
     let config = cluster::WorkerConfig::from_env().unwrap_or_else(|| {

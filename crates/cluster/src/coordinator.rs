@@ -27,12 +27,13 @@
 
 use crate::error::{ClusterError, Result};
 use crate::fault::{FaultInjector, FrameFate, KillTarget};
-use crate::wire::{Message, WireRound1, WireStats};
+use crate::wire::{Message, WireRound1};
 use crate::worker::{SHARD_HI_ENV, SHARD_LO_ENV, SOCKET_ENV};
 use bigraph::delta::{GraphDelta, UpdateLog};
 use bigraph::snapshot::GraphSnapshot;
 use bigraph::{BipartiteGraph, Layer, VertexId};
 use cne::batch::{BatchEstimate, BatchReport, BatchRound1, BatchSingleSource};
+use cne::serving::ServingStats;
 use cne::CneError;
 use ldp::budget::PrivacyBudget;
 use ldp::noisy_graph::NoisyNeighborsPacked;
@@ -209,13 +210,10 @@ pub struct WorkerStatus {
     /// Whether the last exchange with this worker succeeded.
     pub healthy: bool,
     /// The worker's serving counters (`None` if unreachable).
-    pub stats: Option<WireStats>,
+    pub stats: Option<ServingStats>,
 }
 
-/// The coordinator's roll-up of every worker's [`ServingStats`]
-/// (mirrored over the wire as [`WireStats`]).
-///
-/// [`ServingStats`]: cne::serving::ServingStats
+/// The coordinator's roll-up of every worker's [`ServingStats`].
 #[derive(Debug, Clone)]
 pub struct ClusterStats {
     /// Per-worker detail, in shard order.
@@ -262,10 +260,9 @@ pub struct Coordinator {
     /// The launch closure, retained so [`supervise`](Self::supervise) can
     /// respawn a dead worker with the same command the original used.
     launch: LaunchFn,
-    /// Where workers (re)bootstrap from, for clusters spawned via the
-    /// snapshot path. `None` for edge-list-bootstrapped clusters, which
-    /// cannot rebuild dead workers.
-    snapshot: Option<SnapshotSource>,
+    /// Where workers (re)bootstrap from: the current generation's shard
+    /// files.
+    snapshot: SnapshotSource,
     /// The artifact directory (sockets, shard files, manifest), retained
     /// so rebalancing can stage a new generation of files next to the
     /// live ones.
@@ -279,9 +276,8 @@ pub struct Coordinator {
     /// `graph` is the source snapshot's state with every drained delta
     /// through `seq` applied. Rebalancing folds the drained tail in at
     /// its quiet point to cut fresh shard files without asking any worker
-    /// to serialize state back. `None` for edge-list-bootstrapped
-    /// clusters, which therefore cannot rebalance.
-    base: Option<BaseGraph>,
+    /// to serialize state back.
+    base: BaseGraph,
     /// The in-flight rebalance, if any (see [`RebalanceStep`] for the
     /// step sequence). `Some` only between a failed/paused step and the
     /// next [`rebalance_step`](Coordinator::rebalance_step) call;
@@ -297,8 +293,7 @@ struct BaseGraph {
     seq: u64,
 }
 
-/// The on-disk snapshots a snapshot-spawned cluster rebuilds workers
-/// from: one shard-restricted file per worker, so a (re)bootstrapping
+/// The on-disk snapshots a cluster rebuilds workers from: one shard-restricted file per worker, so a (re)bootstrapping
 /// worker reads and validates only its own shard's bytes instead of the
 /// full graph image.
 struct SnapshotSource {
@@ -436,8 +431,7 @@ const MANIFEST_MAGIC: u32 = 0x4D454E43;
 /// Shard-manifest format version.
 const MANIFEST_VERSION: u16 = 1;
 
-/// The manifest a snapshot-spawned cluster writes next to its shard
-/// files, recording every parameter that shaped them. A later spawn into
+/// The manifest a cluster writes next to its shard files, recording every parameter that shaped them. A later spawn into
 /// the same directory reuses the existing files iff its own manifest
 /// bytes are identical — same source epoch and pinned sequence, same
 /// graph shape, same shard layer, same ranges — which is what makes a
@@ -473,9 +467,9 @@ fn shard_manifest(snapshot: &GraphSnapshot, shard_layer: Layer, ranges: &[Range<
 
 /// Contiguous shard ranges: an even split of `[0, n)` into `k` parts,
 /// with the last part open-ended (`hi = u32::MAX`) so vertices appended
-/// after spawn have an owner.
+/// after spawn have an owner. Empty for `k == 0`, which
+/// [`check_contiguous_cover`] then rejects.
 fn shard_ranges(n: usize, k: usize) -> Vec<Range<u32>> {
-    assert!(k > 0, "at least one worker");
     let n = n as u64;
     let k64 = k as u64;
     (0..k)
@@ -492,9 +486,9 @@ fn shard_ranges(n: usize, k: usize) -> Vec<Range<u32>> {
 }
 
 /// A [`ClusterError::Rebalance`] for misuse caught before any step ran
-/// (step `"begin"`): a rebalance already in flight, or a cluster with no
-/// base graph. Always `rolled_back: true` — nothing was staged, so the
-/// previous topology is trivially intact.
+/// (step `"begin"`): a rebalance already in flight, none in flight to
+/// step, or a malformed target partition. Always `rolled_back: true` —
+/// nothing was staged, so the previous topology is trivially intact.
 fn rebalance_misuse(reason: String) -> ClusterError {
     ClusterError::Rebalance {
         step: "begin",
@@ -506,21 +500,35 @@ fn rebalance_misuse(reason: String) -> ClusterError {
     }
 }
 
-/// Panics unless `ranges` is a contiguous ascending cover of
+/// Checks that `ranges` is a contiguous ascending cover of
 /// `0..u32::MAX` — the shared validity rule for spawn partitions and
-/// rebalance targets.
-fn assert_contiguous_cover(ranges: &[Range<u32>]) {
-    assert!(!ranges.is_empty(), "at least one shard range");
-    assert_eq!(ranges[0].start, 0, "first range must start at vertex 0");
-    assert_eq!(
-        ranges.last().expect("non-empty").end,
-        u32::MAX,
-        "last range must be open-ended"
-    );
-    assert!(
-        ranges.windows(2).all(|p| p[0].end == p[1].start),
-        "ranges must be contiguous and ascending"
-    );
+/// rebalance targets. The `Err` says which part of the rule failed.
+fn check_contiguous_cover(ranges: &[Range<u32>]) -> std::result::Result<(), String> {
+    let (Some(first), Some(last)) = (ranges.first(), ranges.last()) else {
+        return Err("at least one shard range is required".into());
+    };
+    if first.start != 0 {
+        return Err(format!(
+            "first range must start at vertex 0, not {}",
+            first.start
+        ));
+    }
+    if last.end != u32::MAX {
+        return Err(format!(
+            "last range must be open-ended, not end at {}",
+            last.end
+        ));
+    }
+    if let Some(p) = ranges.windows(2).find(|p| p[0].end != p[1].start) {
+        return Err(format!(
+            "ranges must be contiguous: {:?} is followed by {:?}",
+            p[0], p[1]
+        ));
+    }
+    match ranges.iter().find(|r| r.start > r.end) {
+        Some(r) => Err(format!("ranges must be ascending: {r:?} is inverted")),
+        None => Ok(()),
+    }
 }
 
 /// Sweeps `dir` of shard snapshot files (`shard-*.snap`) that are not in
@@ -595,7 +603,7 @@ fn replay_drained_tail(
 ) -> Result<()> {
     let tail = log
         .replay_from(after_seq)
-        .expect("snapshot-spawned clusters retain drained deltas");
+        .expect("cluster logs retain drained deltas");
     let part: Vec<GraphDelta> = tail
         .deltas()
         .iter()
@@ -770,165 +778,121 @@ fn round1_from_wire(
     })
 }
 
-impl Coordinator {
-    /// Spawns `n_workers` shard workers for `graph`, sharded along
-    /// `shard_layer` into contiguous even ranges, using `launch` to start
-    /// each process (see [`worker_command`]). Sockets live under `dir`.
-    /// Each worker is handshaked and bootstrapped with its shard's edges
-    /// before this returns.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Spawn`] if any worker fails to start, connect, or
-    /// bootstrap.
-    pub fn spawn_with<F>(
-        graph: &BipartiteGraph,
-        shard_layer: Layer,
-        n_workers: usize,
-        dir: &Path,
-        config: ClusterConfig,
-        launch: F,
-    ) -> Result<Self>
-    where
-        F: FnMut(&WorkerSpec) -> io::Result<Child> + Send + 'static,
-    {
-        let layer_size = match shard_layer {
-            Layer::Upper => graph.n_upper(),
-            Layer::Lower => graph.n_lower(),
+/// Kills a worker's process without a shutdown handshake, reaps it, and
+/// removes its socket. Safe to call on a worker that is already gone.
+fn reap(worker: &mut Worker) {
+    worker.conn = None;
+    worker.healthy = false;
+    if let Some(mut child) = worker.child.take() {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+    let _ = std::fs::remove_file(&worker.spec.socket);
+}
+
+/// Launches one worker per range with `launch`, worker `index` listening
+/// on `socket(index)`. If a launch fails, the workers already started are
+/// reaped before the error returns, so no process outlives it.
+fn launch_workers(
+    launch: &mut LaunchFn,
+    ranges: &[Range<u32>],
+    socket: impl Fn(usize) -> PathBuf,
+) -> Result<Vec<Worker>> {
+    let mut workers = Vec::with_capacity(ranges.len());
+    for (index, range) in ranges.iter().enumerate() {
+        let spec = WorkerSpec {
+            index,
+            socket: socket(index),
+            shard_lo: range.start,
+            shard_hi: range.end,
         };
-        let ranges = shard_ranges(layer_size, n_workers);
-        Self::spawn_partitioned(graph, shard_layer, ranges, dir, config, launch)
-    }
-
-    /// [`Coordinator::spawn_with`] with an **explicit** partition instead
-    /// of the even split: `ranges` must start at 0, be contiguous and
-    /// ascending, and end at `u32::MAX`. Placement independence means any
-    /// such partition serves byte-identical reports; this entry point
-    /// exists so tests can prove that for arbitrary partitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ranges` is not a contiguous cover of `0..u32::MAX`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::spawn_with`].
-    pub fn spawn_partitioned<F>(
-        graph: &BipartiteGraph,
-        shard_layer: Layer,
-        ranges: Vec<Range<u32>>,
-        dir: &Path,
-        config: ClusterConfig,
-        launch: F,
-    ) -> Result<Self>
-    where
-        F: FnMut(&WorkerSpec) -> io::Result<Child> + Send + 'static,
-    {
-        let mut coordinator = Self::spawn_core(
-            shard_layer,
-            ranges,
-            dir,
-            config,
-            Box::new(launch),
-            UpdateLog::new(),
-        )?;
-        let n_workers = coordinator.workers.len();
-        // Handshake + bootstrap every worker with its shard's edge list.
-        for index in 0..n_workers {
-            let range = coordinator.ranges[index].clone();
-            let edges: Vec<(u32, u32)> = graph
-                .edges()
-                .filter(|&(u, l)| {
-                    let v = match shard_layer {
-                        Layer::Upper => u,
-                        Layer::Lower => l,
-                    };
-                    range.contains(&v)
-                })
-                .collect();
-            let bootstrap = Message::Bootstrap {
-                n_upper: graph.n_upper() as u64,
-                n_lower: graph.n_lower() as u64,
-                edges,
-            };
-            let resp = coordinator
-                .request(index, &bootstrap, "bootstrap")
-                .map_err(|e| match e {
-                    ClusterError::WorkerDown { worker, source, .. } => {
-                        ClusterError::Spawn { worker, source }
-                    }
-                    other => other,
-                })?;
-            match resp {
-                Message::BootstrapAck => {}
-                other => return Err(coordinator.unexpected(index, "bootstrap", &other)),
-            }
-        }
-        Ok(coordinator)
-    }
-
-    /// Shared spawn tail: asserts the partition is a contiguous cover of
-    /// `0..u32::MAX`, launches one worker per range, and assembles the
-    /// coordinator. No bootstrap happens here — callers ship edge lists
-    /// or a snapshot frame next.
-    fn spawn_core(
-        shard_layer: Layer,
-        ranges: Vec<Range<u32>>,
-        dir: &Path,
-        config: ClusterConfig,
-        mut launch: LaunchFn,
-        log: UpdateLog,
-    ) -> Result<Self> {
-        assert_contiguous_cover(&ranges);
-        let mut workers = Vec::with_capacity(ranges.len());
-        for (index, range) in ranges.iter().enumerate() {
-            let spec = WorkerSpec {
-                index,
-                socket: dir.join(format!("shard-worker-{index}.sock")),
-                shard_lo: range.start,
-                shard_hi: range.end,
-            };
-            // A stale socket from a previous run must not satisfy our
-            // connect retry before the new worker binds.
-            let _ = std::fs::remove_file(&spec.socket);
-            let child = launch(&spec).map_err(|source| ClusterError::Spawn {
-                worker: index,
-                source,
-            })?;
-            workers.push(Worker {
+        // A stale socket from a previous run must not satisfy our
+        // connect retry before the new worker binds.
+        let _ = std::fs::remove_file(&spec.socket);
+        match launch(&spec) {
+            Ok(child) => workers.push(Worker {
                 spec,
                 child: Some(child),
                 conn: None,
                 healthy: true,
                 update_batches: 0,
-            });
+            }),
+            Err(source) => {
+                workers.iter_mut().for_each(reap);
+                return Err(ClusterError::Spawn {
+                    worker: index,
+                    source,
+                });
+            }
         }
-        let cuts = ranges[1..].iter().map(|r| r.start).collect();
-        Ok(Self {
-            config,
-            shard_layer,
-            ranges,
-            cuts,
-            workers,
-            log,
-            algo: BatchSingleSource::default(),
-            launch,
-            snapshot: None,
-            dir: dir.to_path_buf(),
-            generation: 0,
-            base: None,
-            rebalance: None,
-        })
     }
+    Ok(workers)
+}
 
-    /// [`Coordinator::spawn_partitioned`] bootstrapping every worker from
-    /// **binary snapshots** instead of an edge list: `snapshot` (an
-    /// already-captured [`bigraph::snapshot`] image, typically the serving
-    /// tier's quiet-point artifact) is restricted per shard and written as
-    /// one `shard-<index>.snap` file per worker under `dir`. Each worker
-    /// receives a [`BootstrapSnapshot`](Message::BootstrapSnapshot) frame
-    /// naming its own file — it reads, validates, and adopts only its
-    /// shard's bytes, with just paths crossing the sockets.
+/// Writes one shard-restricted snapshot file per range to `paths`, plus
+/// the manifest describing them — or, when the manifest already in `dir`
+/// matches and every file exists, reuses the files as they are (see
+/// [`shard_manifest`]). Then sweeps shard files the manifest no longer
+/// names.
+fn write_shard_files(
+    snapshot: &GraphSnapshot,
+    shard_layer: Layer,
+    ranges: &[Range<u32>],
+    dir: &Path,
+    paths: &[PathBuf],
+) -> Result<()> {
+    let manifest_path = dir.join("shards.manifest");
+    let manifest = shard_manifest(snapshot, shard_layer, ranges);
+    let reusable = std::fs::read(&manifest_path).is_ok_and(|found| found == manifest)
+        && paths.iter().all(|p| p.exists());
+    if !reusable {
+        // Invalidate first so a crash mid-rewrite never leaves a
+        // manifest vouching for half-rewritten files.
+        let _ = std::fs::remove_file(&manifest_path);
+        for (index, (range, path)) in ranges.iter().zip(paths).enumerate() {
+            // Plain writes, not `write_to`'s durable tmp + rename +
+            // fsync dance: shard files are scratch bootstrap artifacts
+            // re-derived from the source snapshot on demand, and a torn
+            // file is caught by section checksums on read. Durability is
+            // the *source* snapshot's concern.
+            let bytes = snapshot
+                .restrict_to_shard(shard_layer, range.start, range.end)
+                .to_bytes();
+            std::fs::write(path, bytes).map_err(|source| ClusterError::Spawn {
+                worker: index,
+                source,
+            })?;
+        }
+        std::fs::write(&manifest_path, &manifest)
+            .map_err(|source| ClusterError::Spawn { worker: 0, source })?;
+    }
+    // A previous run with a different worker count (or an aborted
+    // rebalance generation) may have left shard files the manifest no
+    // longer names; sweep them so the directory only ever holds
+    // artifacts something can still bootstrap from.
+    gc_stale_shard_files(dir, paths);
+    Ok(())
+}
+
+impl Coordinator {
+    /// Spawns one shard worker per range of `ranges`, sharded along
+    /// `shard_layer`, and bootstraps every worker from **binary
+    /// snapshots**. This is the one way a cluster starts; sockets and
+    /// shard files live under `dir`, and `launch` starts each worker
+    /// process (see [`worker_command`]; [`spawn_program_from_snapshot`]
+    /// is the even-split shorthand).
+    ///
+    /// `ranges` must start at 0, be contiguous and ascending, and end at
+    /// `u32::MAX`. Placement independence means any such partition serves
+    /// byte-identical reports. `snapshot` (an already-captured
+    /// [`bigraph::snapshot`] image, e.g. `GraphSnapshot::capture(&graph,
+    /// 0)` or the serving tier's quiet-point artifact) must be pinned at
+    /// log sequence 0: its state precedes this coordinator's fresh update
+    /// stream. It is restricted per shard and written as one
+    /// `shard-<index>.snap` file per worker. Each worker receives a
+    /// [`BootstrapSnapshot`](Message::BootstrapSnapshot) frame naming its
+    /// own file — it reads, validates, and adopts only its shard's bytes,
+    /// with just paths crossing the sockets.
     ///
     /// Shard files persist in `dir` alongside a manifest of the
     /// parameters that shaped them; spawning again into the same
@@ -939,20 +903,21 @@ impl Coordinator {
     /// is trusted to be this cluster's own artifact store, and payload
     /// corruption is still caught by section checksums at adoption.
     ///
-    /// Clusters spawned this way keep the shard files as their **recovery
-    /// source** and retain drained deltas
-    /// ([`UpdateLog::with_retention`]), which is what lets
+    /// The shard files are the cluster's **recovery source**, the
+    /// snapshot's graph is its base for rebalancing, and the log retains
+    /// drained deltas ([`UpdateLog::with_retention`]). That is what lets
     /// [`Coordinator::supervise`] rebuild a dead worker (respawn →
-    /// snapshot bootstrap → tail replay) instead of merely reporting it.
+    /// snapshot bootstrap → tail replay) and
+    /// [`Coordinator::rebalance`] cut new shard files live.
     ///
-    /// # Panics
-    ///
-    /// Panics if `ranges` is not a contiguous cover of `0..u32::MAX`, or
-    /// if `snapshot` is pinned at a nonzero log sequence — its state must
-    /// precede this coordinator's (fresh) update stream.
+    /// [`spawn_program_from_snapshot`]: Coordinator::spawn_program_from_snapshot
     ///
     /// # Errors
     ///
+    /// [`ClusterError::Query`] with an
+    /// [`InvalidParameter`](CneError::InvalidParameter) error, before any
+    /// process starts, if `ranges` is not a contiguous cover of
+    /// `0..u32::MAX` or `snapshot` is pinned at a nonzero log sequence;
     /// [`ClusterError::Spawn`] if writing a shard snapshot or starting,
     /// connecting, or bootstrapping any worker fails.
     pub fn spawn_partitioned_from_snapshot<F>(
@@ -966,69 +931,61 @@ impl Coordinator {
     where
         F: FnMut(&WorkerSpec) -> io::Result<Child> + Send + 'static,
     {
-        assert_eq!(
-            snapshot.log_seq(),
-            0,
-            "a cluster bootstrap snapshot must be pinned at sequence 0 — \
-             its state precedes this coordinator's update stream"
-        );
-        let epoch = snapshot.epoch();
+        check_contiguous_cover(&ranges).map_err(|reason| {
+            ClusterError::Query(CneError::InvalidParameter {
+                name: "ranges",
+                reason,
+            })
+        })?;
+        if snapshot.log_seq() != 0 {
+            return Err(ClusterError::Query(CneError::InvalidParameter {
+                name: "snapshot",
+                reason: format!(
+                    "a cluster bootstrap snapshot must be pinned at sequence 0, not {} — \
+                     its state precedes this coordinator's update stream",
+                    snapshot.log_seq()
+                ),
+            }));
+        }
+        let mut launch: LaunchFn = Box::new(launch);
         // Launch the workers first so their process startup overlaps the
         // shard-file writes below.
-        let mut coordinator = Self::spawn_core(
-            shard_layer,
-            ranges,
-            dir,
-            config,
-            Box::new(launch),
-            UpdateLog::with_retention(),
-        )?;
-        let paths: Vec<PathBuf> = (0..coordinator.ranges.len())
+        let mut workers = launch_workers(&mut launch, &ranges, |index| {
+            dir.join(format!("shard-worker-{index}.sock"))
+        })?;
+        let paths: Vec<PathBuf> = (0..ranges.len())
             .map(|index| dir.join(format!("shard-{index}.snap")))
             .collect();
-        let manifest_path = dir.join("shards.manifest");
-        let manifest = shard_manifest(snapshot, shard_layer, &coordinator.ranges);
-        // A restart into the same directory reuses the shard files it
-        // finds there when the manifest proves they were derived from
-        // the same source with the same partition (see [`shard_manifest`]).
-        let reusable = std::fs::read(&manifest_path).is_ok_and(|found| found == manifest)
-            && paths.iter().all(|p| p.exists());
-        if !reusable {
-            // Invalidate first so a crash mid-rewrite never leaves a
-            // manifest vouching for half-rewritten files.
-            let _ = std::fs::remove_file(&manifest_path);
-            for (index, (range, path)) in coordinator.ranges.clone().iter().zip(&paths).enumerate()
-            {
-                // Plain writes, not `write_to`'s durable tmp + rename +
-                // fsync dance: shard files are scratch bootstrap
-                // artifacts re-derived from the source snapshot on
-                // demand, and a torn file is caught by section checksums
-                // on read. Durability is the *source* snapshot's concern.
-                let bytes = snapshot
-                    .restrict_to_shard(shard_layer, range.start, range.end)
-                    .to_bytes();
-                std::fs::write(path, bytes).map_err(|source| ClusterError::Spawn {
-                    worker: index,
-                    source,
-                })?;
-            }
-            std::fs::write(&manifest_path, &manifest)
-                .map_err(|source| ClusterError::Spawn { worker: 0, source })?;
+        if let Err(e) = write_shard_files(snapshot, shard_layer, &ranges, dir, &paths) {
+            workers.iter_mut().for_each(reap);
+            return Err(e);
         }
-        // A previous run with a different worker count (or an aborted
-        // rebalance generation) may have left shard files the manifest no
-        // longer names; sweep them so the directory only ever holds
-        // artifacts something can still bootstrap from.
-        gc_stale_shard_files(dir, &paths);
-        coordinator.snapshot = Some(SnapshotSource {
-            paths,
-            seq: 0,
-            epoch,
-        });
-        coordinator.base = Some(BaseGraph {
-            graph: snapshot.graph().clone(),
-            seq: 0,
-        });
+        let cuts = ranges[1..].iter().map(|r| r.start).collect();
+        // From here on `Drop` reaps the workers if a bootstrap fails.
+        let mut coordinator = Self {
+            config,
+            shard_layer,
+            ranges,
+            cuts,
+            workers,
+            log: UpdateLog::with_retention(),
+            algo: BatchSingleSource::default(),
+            launch,
+            snapshot: SnapshotSource {
+                paths,
+                seq: 0,
+                epoch: snapshot.epoch(),
+            },
+            dir: dir.to_path_buf(),
+            generation: 0,
+            // Cloned only after the shard files are written, so this copy
+            // and the per-shard write buffers are never resident at once.
+            base: BaseGraph {
+                graph: snapshot.graph().clone(),
+                seq: 0,
+            },
+            rebalance: None,
+        };
         for index in 0..coordinator.workers.len() {
             coordinator
                 .bootstrap_from_snapshot(index)
@@ -1042,13 +999,15 @@ impl Coordinator {
         Ok(coordinator)
     }
 
-    /// [`Coordinator::spawn_program`]'s snapshot twin: an even split into
-    /// `n_workers` ranges, per-shard bootstrap snapshots written under
-    /// `dir`, and `program` run as each worker via [`worker_command`].
+    /// [`Coordinator::spawn_partitioned_from_snapshot`] over an even split
+    /// into `n_workers` ranges, running `program` as each worker via
+    /// [`worker_command`]. Tests pass `env!("CARGO_BIN_EXE_shard-worker")`;
+    /// self-exec harnesses pass `std::env::current_exe()?`.
     ///
     /// # Errors
     ///
-    /// See [`Coordinator::spawn_partitioned_from_snapshot`].
+    /// See [`Coordinator::spawn_partitioned_from_snapshot`]; `n_workers ==
+    /// 0` is rejected like any other malformed partition.
     pub fn spawn_program_from_snapshot(
         snapshot: &GraphSnapshot,
         shard_layer: Layer,
@@ -1076,44 +1035,18 @@ impl Coordinator {
     /// Ships the snapshot-bootstrap frame to worker `index` (naming its
     /// own shard file) and waits for its ack.
     fn bootstrap_from_snapshot(&mut self, index: usize) -> Result<()> {
-        let src = self
-            .snapshot
-            .as_ref()
-            .expect("callers check for a snapshot source");
         let spec = &self.workers[index].spec;
         let msg = Message::BootstrapSnapshot {
-            epoch: src.epoch,
+            epoch: self.snapshot.epoch,
             shard_layer: self.shard_layer,
             shard_lo: spec.shard_lo,
             shard_hi: spec.shard_hi,
-            path: src.paths[index].to_string_lossy().into_owned(),
+            path: self.snapshot.paths[index].to_string_lossy().into_owned(),
         };
         match self.request(index, &msg, "snapshot bootstrap")? {
             Message::BootstrapAck => Ok(()),
             other => Err(self.unexpected(index, "snapshot bootstrap", &other)),
         }
-    }
-
-    /// [`Coordinator::spawn_with`] running `program` as each worker via
-    /// [`worker_command`]. This is the standard entry point: tests pass
-    /// `env!("CARGO_BIN_EXE_shard-worker")`, self-exec harnesses pass
-    /// `std::env::current_exe()?`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::spawn_with`].
-    pub fn spawn_program(
-        graph: &BipartiteGraph,
-        shard_layer: Layer,
-        n_workers: usize,
-        dir: &Path,
-        config: ClusterConfig,
-        program: &Path,
-    ) -> Result<Self> {
-        let program = program.to_path_buf();
-        Self::spawn_with(graph, shard_layer, n_workers, dir, config, move |spec| {
-            worker_command(&program, spec).spawn()
-        })
     }
 
     /// Number of shard workers.
@@ -1409,7 +1342,7 @@ impl Coordinator {
                 stats,
             });
         }
-        let answering: Vec<&WireStats> = workers.iter().filter_map(|w| w.stats.as_ref()).collect();
+        let answering: Vec<ServingStats> = workers.iter().filter_map(|w| w.stats).collect();
         ClusterStats {
             healthy_workers: answering.len(),
             appended: answering.iter().map(|s| s.appended).sum(),
@@ -1464,19 +1397,14 @@ impl Coordinator {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NoSnapshotSource`] when a worker is dead but the
-    /// cluster was spawned with edge-list bootstrap (nothing to rebuild
-    /// from); [`ClusterError::Spawn`] / [`ClusterError::WorkerDown`]
-    /// when the rebuild itself fails — the worker stays unhealthy and a
+    /// [`ClusterError::Spawn`] / [`ClusterError::WorkerDown`] when the
+    /// rebuild itself fails — the worker stays unhealthy and a
     /// later pass retries.
     pub fn supervise(&mut self) -> Result<Vec<usize>> {
         let mut rebuilt = Vec::new();
         for index in 0..self.workers.len() {
             if self.worker_is_live(index) {
                 continue;
-            }
-            if self.snapshot.is_none() {
-                return Err(ClusterError::NoSnapshotSource { worker: index });
             }
             self.respawn(index)?;
             self.bootstrap_from_snapshot(index)?;
@@ -1509,13 +1437,7 @@ impl Coordinator {
     /// fresh one on the same socket with the retained closure.
     fn respawn(&mut self, index: usize) -> Result<()> {
         let w = &mut self.workers[index];
-        w.conn = None;
-        w.healthy = false;
-        if let Some(mut child) = w.child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        let _ = std::fs::remove_file(&w.spec.socket);
+        reap(w);
         let child = (self.launch)(&w.spec).map_err(|source| ClusterError::Spawn {
             worker: index,
             source,
@@ -1528,11 +1450,7 @@ impl Coordinator {
     /// sequence to a freshly re-bootstrapped worker (see
     /// [`replay_drained_tail`]).
     fn replay_tail(&mut self, index: usize) -> Result<()> {
-        let seq = self
-            .snapshot
-            .as_ref()
-            .expect("callers check for a snapshot source")
-            .seq;
+        let seq = self.snapshot.seq;
         let range = self.ranges[index].clone();
         replay_drained_tail(
             &self.config,
@@ -1557,13 +1475,11 @@ impl Coordinator {
     /// [`rebalance_step`](Self::rebalance_step)-until-complete; drive
     /// the steps yourself to interleave traffic.
     ///
-    /// # Panics
-    ///
-    /// Panics if `new_ranges` is not a contiguous cover of `0..u32::MAX`.
-    ///
     /// # Errors
     ///
-    /// [`ClusterError::Rebalance`] naming the failed step.
+    /// [`ClusterError::Rebalance`] naming the failed step (`"begin"` for
+    /// a malformed `new_ranges`; see
+    /// [`begin_rebalance`](Self::begin_rebalance)).
     pub fn rebalance(&mut self, new_ranges: Vec<Range<u32>>) -> Result<()> {
         self.begin_rebalance(new_ranges)?;
         loop {
@@ -1581,16 +1497,9 @@ impl Coordinator {
     ///
     /// See [`rebalance`](Self::rebalance).
     pub fn rebalance_to(&mut self, n_workers: usize) -> Result<()> {
-        let Some(base) = self.base.as_ref() else {
-            return Err(rebalance_misuse(
-                "cluster was edge-list bootstrapped; only snapshot-spawned \
-                 clusters hold the base graph rebalancing cuts shards from"
-                    .to_string(),
-            ));
-        };
         let layer_size = match self.shard_layer {
-            Layer::Upper => base.graph.n_upper(),
-            Layer::Lower => base.graph.n_lower(),
+            Layer::Upper => self.base.graph.n_upper(),
+            Layer::Lower => self.base.graph.n_lower(),
         };
         self.rebalance(shard_ranges(layer_size, n_workers))
     }
@@ -1600,15 +1509,11 @@ impl Coordinator {
     /// the `quiesce` step. Drive it with
     /// [`rebalance_step`](Self::rebalance_step).
     ///
-    /// # Panics
-    ///
-    /// Panics if `new_ranges` is not a contiguous cover of `0..u32::MAX`.
-    ///
     /// # Errors
     ///
-    /// [`ClusterError::Rebalance`] at step `"begin"` when a rebalance is
-    /// already in flight or the cluster was edge-list bootstrapped (no
-    /// base graph to cut shard files from). Both leave the cluster
+    /// [`ClusterError::Rebalance`] at step `"begin"` with `rolled_back:
+    /// true` when a rebalance is already in flight or `new_ranges` is not
+    /// a contiguous cover of `0..u32::MAX`. Both leave the cluster
     /// serving exactly as before.
     pub fn begin_rebalance(&mut self, new_ranges: Vec<Range<u32>>) -> Result<()> {
         if let Some(st) = &self.rebalance {
@@ -1617,14 +1522,7 @@ impl Coordinator {
                 st.step.name()
             )));
         }
-        if self.base.is_none() || self.snapshot.is_none() {
-            return Err(rebalance_misuse(
-                "cluster was edge-list bootstrapped; only snapshot-spawned \
-                 clusters hold the base graph rebalancing cuts shards from"
-                    .to_string(),
-            ));
-        }
-        assert_contiguous_cover(&new_ranges);
+        check_contiguous_cover(&new_ranges).map_err(rebalance_misuse)?;
         self.generation += 1;
         self.rebalance = Some(RebalanceState {
             step: RebalanceStep::Quiesce,
@@ -1679,12 +1577,7 @@ impl Coordinator {
                 }
                 KillTarget::New(i) => {
                     if let Some(w) = st.new_workers.get_mut(i) {
-                        w.conn = None;
-                        w.healthy = false;
-                        if let Some(mut child) = w.child.take() {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                        }
+                        reap(w);
                     }
                 }
             }
@@ -1744,11 +1637,11 @@ impl Coordinator {
     /// untouched, and the fold is idempotent because `replay_from` is
     /// strictly-after.)
     fn rb_capture(&mut self, st: &mut RebalanceState) -> Result<()> {
-        let base = self.base.as_mut().expect("begin_rebalance checked");
+        let base = &mut self.base;
         let tail = self
             .log
             .replay_from(base.seq)
-            .expect("snapshot-spawned clusters retain drained deltas");
+            .expect("cluster logs retain drained deltas");
         if !tail.is_empty() {
             base.graph
                 .apply_update_batch(&tail)
@@ -1795,28 +1688,11 @@ impl Coordinator {
     /// [`RebalanceStep::Spawn`]: launch the new generation's workers on
     /// generation-named sockets (the old generation still owns its own).
     fn rb_spawn(&mut self, st: &mut RebalanceState) -> Result<()> {
-        for (index, range) in st.new_ranges.iter().enumerate() {
-            let spec = WorkerSpec {
-                index,
-                socket: self
-                    .dir
-                    .join(format!("shard-worker-g{}-{index}.sock", st.generation)),
-                shard_lo: range.start,
-                shard_hi: range.end,
-            };
-            let _ = std::fs::remove_file(&spec.socket);
-            let child = (self.launch)(&spec).map_err(|source| ClusterError::Spawn {
-                worker: index,
-                source,
-            })?;
-            st.new_workers.push(Worker {
-                spec,
-                child: Some(child),
-                conn: None,
-                healthy: true,
-                update_batches: 0,
-            });
-        }
+        let generation = st.generation;
+        st.new_workers = launch_workers(&mut self.launch, &st.new_ranges, |index| {
+            self.dir
+                .join(format!("shard-worker-g{generation}-{index}.sock"))
+        })?;
         Ok(())
     }
 
@@ -1902,11 +1778,11 @@ impl Coordinator {
         // `paths` is *moved* into the snapshot source (not copied) so a
         // later rollback — teardown mid-Retire — can never mistake the
         // serving files for staged ones and delete them.
-        self.snapshot = Some(SnapshotSource {
+        self.snapshot = SnapshotSource {
             paths: std::mem::take(&mut st.paths),
             seq: st.pinned_seq,
             epoch: st.epoch,
-        });
+        };
         let _ = std::fs::write(&manifest_path, &st.manifest);
         // The new snapshot source re-pins recovery at the quiet point;
         // history before it can never be replayed again.
@@ -1921,12 +1797,7 @@ impl Coordinator {
         for worker in &mut st.retired {
             retire_worker(&self.config, worker);
         }
-        let keep = self
-            .snapshot
-            .as_ref()
-            .map(|s| s.paths.clone())
-            .unwrap_or_default();
-        gc_stale_shard_files(&self.dir, &keep);
+        gc_stale_shard_files(&self.dir, &self.snapshot.paths);
         Ok(())
     }
 
@@ -1936,14 +1807,11 @@ impl Coordinator {
     /// listed is provably not the serving snapshot source. The serving
     /// topology is untouched.
     fn rollback_rebalance(&mut self, mut state: RebalanceState) {
-        for worker in state.new_workers.iter_mut().chain(state.retired.iter_mut()) {
-            worker.conn = None;
-            if let Some(mut child) = worker.child.take() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            let _ = std::fs::remove_file(&worker.spec.socket);
-        }
+        state
+            .new_workers
+            .iter_mut()
+            .chain(state.retired.iter_mut())
+            .for_each(reap);
         for path in &state.paths {
             let _ = std::fs::remove_file(path);
         }
@@ -2024,6 +1892,22 @@ mod tests {
         let tiny = shard_ranges(2, 4);
         assert_eq!(tiny.last().unwrap().end, u32::MAX);
         assert_eq!(tiny.iter().filter(|r| r.is_empty()).count(), 2);
+        // Zero workers: no ranges, which the cover check turns into a
+        // typed error instead of a panic.
+        assert!(shard_ranges(10, 0).is_empty());
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)]
+    fn cover_check_names_the_broken_rule() {
+        assert!(check_contiguous_cover(&shard_ranges(10, 3)).is_ok());
+        let reason = |ranges: &[Range<u32>]| check_contiguous_cover(ranges).unwrap_err();
+        assert!(reason(&[]).contains("at least one"));
+        assert!(reason(&[1..u32::MAX]).contains("vertex 0"));
+        assert!(reason(&[0..5, 5..9]).contains("open-ended"));
+        assert!(reason(&[0..5, 6..u32::MAX]).contains("contiguous"));
+        let inverted = Range { start: 5, end: 3 };
+        assert!(reason(&[0..5, inverted, 3..u32::MAX]).contains("ascending"));
     }
 
     #[test]

@@ -38,16 +38,6 @@ pub enum ClusterError {
         /// What the fan-out was computing.
         context: &'static str,
     },
-    /// Supervision found a dead worker but the cluster has no snapshot
-    /// source to rebuild it from: it was spawned with edge-list
-    /// bootstrap, and only the snapshot-spawn entry points
-    /// ([`Coordinator::spawn_partitioned_from_snapshot`]) retain one.
-    ///
-    /// [`Coordinator::spawn_partitioned_from_snapshot`]: crate::coordinator::Coordinator::spawn_partitioned_from_snapshot
-    NoSnapshotSource {
-        /// The dead worker that cannot be rebuilt.
-        worker: usize,
-    },
     /// A worker sent a frame that violates the wire protocol.
     Protocol {
         /// The offending worker's index.
@@ -101,10 +91,6 @@ impl fmt::Display for ClusterError {
             ClusterError::PartialResult { missing, context } => write!(
                 f,
                 "partial result: worker(s) {missing:?} missing from {context} fan-out"
-            ),
-            ClusterError::NoSnapshotSource { worker } => write!(
-                f,
-                "worker {worker} is dead and the cluster has no snapshot source to rebuild it from"
             ),
             ClusterError::Protocol { worker, detail } => {
                 write!(f, "protocol violation from worker {worker}: {detail}")

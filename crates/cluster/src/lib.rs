@@ -15,8 +15,10 @@
 //! # Shard assignment
 //!
 //! Sharding is along one layer (the *shard layer*, the layer queries
-//! target). [`Coordinator::spawn_with`] splits `[0, n)` into `k` even
-//! contiguous ranges; the **last** range is open-ended (`hi =
+//! target). [`Coordinator::spawn_program_from_snapshot`] splits `[0, n)`
+//! into `k` even contiguous ranges, and
+//! [`Coordinator::spawn_partitioned_from_snapshot`] takes any contiguous
+//! partition; either way the **last** range is open-ended (`hi =
 //! u32::MAX`), so vertices appended after spawn have an owner. Every
 //! shard graph keeps the **global layer sizes** (validation only reads
 //! sizes, so any worker can validate any query) but holds only the edges
@@ -77,8 +79,8 @@
 //!
 //! # Persistence and supervision
 //!
-//! A cluster can bootstrap from a [`bigraph::snapshot::GraphSnapshot`]
-//! instead of streaming per-edge `Bootstrap` frames:
+//! Every cluster starts from a [`bigraph::snapshot::GraphSnapshot`]
+//! (for a plain graph, `GraphSnapshot::capture(&graph, 0)`):
 //! [`Coordinator::spawn_partitioned_from_snapshot`] writes one
 //! *restricted* snapshot file per shard (each holding only that shard's
 //! edges and packed bitmaps) and sends every worker a path-only
@@ -88,6 +90,7 @@
 //! ranges), so a coordinator restarting over the same snapshot and
 //! partition reuses them and pays only worker adoption.
 //!
+//! Those files double as every cluster's recovery source.
 //! Supervision closes the loop: [`Coordinator::supervise`] probes every
 //! worker, respawns any that died, re-bootstraps the replacement from
 //! its shard's snapshot file, replays the update-log tail past the

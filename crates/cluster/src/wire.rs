@@ -31,7 +31,6 @@
 //! |------|---------------|----------------------------------------------------------|
 //! | 0x01 | `Hello`       | magic `u32`, version `u16`                               |
 //! | 0x02 | `HelloAck`    | magic `u32`, version `u16`, shard_lo `u32`, shard_hi `u32` |
-//! | 0x10 | `Bootstrap`   | n_upper `u64`, n_lower `u64`, n_edges `u64`, (upper `u32`, lower `u32`)\* |
 //! | 0x11 | `BootstrapAck`| —                                                        |
 //! | 0x12 | `BootstrapSnapshot` | epoch `u64`, layer `u8`, shard_lo `u32`, shard_hi `u32`, path_len `u32`, UTF-8 path |
 //! | 0x20 | `Update`      | batch_seq `u64`, count `u32`, delta\* (see below)        |
@@ -48,6 +47,11 @@
 //! | 0x71 | `ShutdownAck` | —                                                        |
 //! | 0x7F | `Err`         | code `u16`, UTF-8 message (rest of payload)              |
 //!
+//! Kind 0x10 is **retired**: it carried a shard's full edge list, back
+//! when workers could bootstrap from streamed edges instead of a snapshot
+//! file. It is never reassigned, and a frame carrying it is rejected as
+//! an unknown kind.
+//!
 //! A [`GraphDelta`] serializes as tag `u8` (0 = `AddEdge`, 1 =
 //! `RemoveEdge`, 2 = `AddVertex`) followed by upper `u32` + lower `u32`
 //! for edges, or layer `u8` for vertex additions. Floats travel as their
@@ -56,6 +60,7 @@
 //! depends on that.
 
 use bigraph::{GraphDelta, Layer};
+use cne::serving::ServingStats;
 use std::io::{self, Read, Write};
 
 /// Frame magic: `"CNE1"` as a little-endian u32.
@@ -92,28 +97,6 @@ pub mod err_code {
     pub const NOT_BOOTSTRAPPED: u16 = 3;
 }
 
-/// The serving counters a worker reports in [`Message::StatsResp`] —
-/// mirrors `cne::serving::ServingStats` field for field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WireStats {
-    /// Published epoch (buffer swaps since start).
-    pub epoch: u64,
-    /// Deltas appended to the worker's log.
-    pub appended: u64,
-    /// Deltas published (visible or rejected).
-    pub published: u64,
-    /// `appended - published`.
-    pub ingest_lag: u64,
-    /// Deltas dropped with a rejected batch.
-    pub rejected: u64,
-    /// Snapshots pinned since start.
-    pub snapshots: u64,
-    /// Median per-snapshot lag (log2 bucket lower bound).
-    pub lag_p50: u64,
-    /// 95th-percentile per-snapshot lag.
-    pub lag_p95: u64,
-}
-
 /// The round-1 artifact shipped from the target's owner to the
 /// coordinator (and verbatim onward in every round-2 request): everything
 /// a remote worker needs to run its slice of round 2, and everything the
@@ -148,19 +131,10 @@ pub enum Message {
         /// One past the last owned vertex (`u32::MAX` = open-ended).
         shard_hi: u32,
     },
-    /// Full shard-graph state: global layer sizes + the shard's edges.
-    Bootstrap {
-        /// Global upper-layer size.
-        n_upper: u64,
-        /// Global lower-layer size.
-        n_lower: u64,
-        /// The shard's edges as `(upper, lower)` pairs.
-        edges: Vec<(u32, u32)>,
-    },
     /// Bootstrap complete; the worker is serving.
     BootstrapAck,
-    /// Bootstrap from a snapshot **file** instead of streamed edges: the
-    /// worker loads the versioned binary snapshot at `path`
+    /// Bootstrap from a snapshot **file**: the worker loads the
+    /// versioned binary snapshot at `path`
     /// (`bigraph::snapshot`), verifies its graph epoch against `epoch`,
     /// restricts it to `shard_lo..shard_hi` of `shard_layer`, and serves
     /// from the restricted engine. Answered with [`Message::BootstrapAck`]
@@ -244,8 +218,8 @@ pub enum Message {
     },
     /// Request serving counters.
     StatsReq,
-    /// Serving counters.
-    StatsResp(WireStats),
+    /// The worker's serving counters (all zero before bootstrap).
+    StatsResp(ServingStats),
     /// Orderly worker shutdown.
     Shutdown,
     /// Shutdown acknowledged; the worker exits after this frame.
@@ -263,7 +237,7 @@ pub enum Message {
 mod kind {
     pub const HELLO: u8 = 0x01;
     pub const HELLO_ACK: u8 = 0x02;
-    pub const BOOTSTRAP: u8 = 0x10;
+    // 0x10 is retired (see the module docs): never reassign it.
     pub const BOOTSTRAP_ACK: u8 = 0x11;
     pub const BOOTSTRAP_SNAPSHOT: u8 = 0x12;
     pub const UPDATE: u8 = 0x20;
@@ -354,7 +328,6 @@ impl Message {
         match self {
             Message::Hello => kind::HELLO,
             Message::HelloAck { .. } => kind::HELLO_ACK,
-            Message::Bootstrap { .. } => kind::BOOTSTRAP,
             Message::BootstrapAck => kind::BOOTSTRAP_ACK,
             Message::BootstrapSnapshot { .. } => kind::BOOTSTRAP_SNAPSHOT,
             Message::Update { .. } => kind::UPDATE,
@@ -385,19 +358,6 @@ impl Message {
                 buf.put_u16(VERSION);
                 buf.put_u32(*shard_lo);
                 buf.put_u32(*shard_hi);
-            }
-            Message::Bootstrap {
-                n_upper,
-                n_lower,
-                edges,
-            } => {
-                buf.put_u64(*n_upper);
-                buf.put_u64(*n_lower);
-                buf.put_u64(edges.len() as u64);
-                for &(u, l) in edges {
-                    buf.put_u32(u);
-                    buf.put_u32(l);
-                }
             }
             Message::BootstrapSnapshot {
                 epoch,
@@ -692,20 +652,6 @@ fn decode(kind_byte: u8, payload: &[u8]) -> io::Result<Message> {
                 shard_hi: c.u32()?,
             }
         }
-        kind::BOOTSTRAP => {
-            let n_upper = c.u64()?;
-            let n_lower = c.u64()?;
-            let n_edges = c.u64()? as usize;
-            let mut edges = Vec::with_capacity(n_edges.min(1 << 24));
-            for _ in 0..n_edges {
-                edges.push((c.u32()?, c.u32()?));
-            }
-            Message::Bootstrap {
-                n_upper,
-                n_lower,
-                edges,
-            }
-        }
         kind::BOOTSTRAP_ACK => Message::BootstrapAck,
         kind::BOOTSTRAP_SNAPSHOT => {
             let epoch = c.u64()?;
@@ -761,7 +707,7 @@ fn decode(kind_byte: u8, payload: &[u8]) -> io::Result<Message> {
             Message::Round2Resp { estimates }
         }
         kind::STATS_REQ => Message::StatsReq,
-        kind::STATS_RESP => Message::StatsResp(WireStats {
+        kind::STATS_RESP => Message::StatsResp(ServingStats {
             epoch: c.u64()?,
             appended: c.u64()?,
             published: c.u64()?,
@@ -802,11 +748,6 @@ mod tests {
         round_trip(Message::HelloAck {
             shard_lo: 7,
             shard_hi: u32::MAX,
-        });
-        round_trip(Message::Bootstrap {
-            n_upper: 10,
-            n_lower: 20,
-            edges: vec![(0, 1), (9, 19)],
         });
         round_trip(Message::BootstrapAck);
         round_trip(Message::BootstrapSnapshot {
@@ -857,7 +798,7 @@ mod tests {
             estimates: vec![(8, 4.5f64.to_bits()), (9, (-0.25f64).to_bits())],
         });
         round_trip(Message::StatsReq);
-        round_trip(Message::StatsResp(WireStats {
+        round_trip(Message::StatsResp(ServingStats {
             epoch: 1,
             appended: 2,
             published: 3,
@@ -933,6 +874,19 @@ mod tests {
         trailing.push(0);
         reseal(&mut trailing);
         assert!(Message::read_from(&mut trailing.as_slice()).is_err());
+        // The retired kind 0x10, carrying the well-formed edge-list payload
+        // it once had (n_upper, n_lower, n_edges, one edge) under a valid
+        // checksum: it must fail as an unknown kind, never decode.
+        let mut retired = vec![0x10, 0, 0, 0, 0, 0, 0, 0, 0];
+        for v in [10u64, 20, 1] {
+            retired.put_u64(v);
+        }
+        retired.put_u32(0);
+        retired.put_u32(1);
+        reseal(&mut retired);
+        let err = Message::read_from(&mut retired.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unknown message kind"), "{err}");
     }
 
     /// The integrity check must catch a flipped payload byte even when

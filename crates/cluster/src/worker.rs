@@ -4,33 +4,29 @@
 //! shard-layer vertex range (see [`crate`] docs for the assignment
 //! rules), binds a listener, and serves one coordinator connection at a
 //! time in strict request→response order. It starts **empty**: the
-//! coordinator's `Bootstrap` message delivers the shard graph (global
-//! layer sizes + the shard's edges), after which `Update` frames stream
-//! the shard's slice of the delta log into the worker's own
-//! [`ServingEngine`] — the same epoch-pinned double-buffered tier a
-//! single-process deployment uses, so queries on the worker never wait on
-//! a splice either.
+//! coordinator's `BootstrapSnapshot` message points it at a versioned
+//! binary snapshot file (`bigraph::snapshot`) holding its shard. The
+//! worker loads and validates the file, checks the epoch stamp, restricts
+//! it to its own shard range, and serves from the restricted engine —
+//! warm store included, since the snapshot's packed bitmaps of owned
+//! vertices adopt directly. Only the path crosses the socket.
 //!
-//! The fast-restart alternative is `BootstrapSnapshot`: instead of
-//! streaming edges over the socket, the coordinator points the worker at a
-//! versioned binary snapshot file (`bigraph::snapshot`). The worker loads
-//! and validates it, checks the epoch stamp, restricts it to its own
-//! shard range, and serves from the restricted engine — warm store
-//! included, since the snapshot's packed bitmaps of owned vertices adopt
-//! directly. The coordinator then replays its retained update-log tail
-//! past the snapshot's pinned sequence over ordinary `Update` frames; the
-//! combination is byte-identical to an edge-streamed bootstrap that saw
-//! the same deltas.
+//! After bootstrap, `Update` frames stream the shard's slice of the delta
+//! log into the worker's own [`ServingEngine`] — the same epoch-pinned
+//! double-buffered tier a single-process deployment uses, so queries on
+//! the worker never wait on a splice either. A re-bootstrap (supervision
+//! or rebalance) is followed by the coordinator replaying its retained
+//! update-log tail past the snapshot's pinned sequence, so the worker
+//! ends in the same state as one that never restarted.
 //!
 //! A dropped connection is not fatal: the worker keeps its state and
 //! accepts the coordinator's reconnect (that is what makes the
 //! coordinator's bounded retry meaningful). `Shutdown` exits the process.
 
-use crate::wire::{err_code, Message, WireRound1, WireStats};
+use crate::wire::{err_code, Message, WireRound1};
 use bigraph::bitset::PackedSet;
-use bigraph::BipartiteGraph;
 use cne::batch::{batch_round2, BatchRound1, BatchSingleSource};
-use cne::serving::{ServingConfig, ServingEngine};
+use cne::serving::{ServingConfig, ServingEngine, ServingStats};
 use ldp::budget::PrivacyBudget;
 use ldp::noisy_graph::NoisyNeighborsPacked;
 use rand::rngs::StdRng;
@@ -204,28 +200,6 @@ fn handle(
             shard_lo: config.shard_lo,
             shard_hi: config.shard_hi,
         },
-        Message::Bootstrap {
-            n_upper,
-            n_lower,
-            edges,
-        } => {
-            // Tear down any previous engine first (re-bootstrap replaces
-            // state wholesale; the coordinator uses this after a restart).
-            if let Some(old) = serving.take() {
-                drop(old.into_engine());
-            }
-            let graph = match BipartiteGraph::from_edges(
-                n_upper as usize,
-                n_lower as usize,
-                edges.iter().map(|&(u, l)| (u, l)),
-            ) {
-                Ok(g) => g,
-                Err(e) => return err(err_code::PROTOCOL, format!("bad shard graph: {e}")),
-            };
-            *serving = Some(ServingEngine::with_config(graph, config.serving.clone()));
-            *dedup = UpdateDedup::default();
-            Message::BootstrapAck
-        }
         Message::BootstrapSnapshot {
             epoch,
             shard_layer,
@@ -261,6 +235,8 @@ fn handle(
                 );
             }
             let restricted = snap.restrict_to_shard(shard_layer, shard_lo, shard_hi);
+            // Re-bootstrap replaces state wholesale: tear down any
+            // previous engine before adopting the new one.
             if let Some(old) = serving.take() {
                 drop(old.into_engine());
             }
@@ -370,22 +346,11 @@ fn handle(
                 Err(e) => err(err_code::QUERY, e.to_string()),
             }
         }
-        Message::StatsReq => match serving {
-            Some(engine) => {
-                let s = engine.stats();
-                Message::StatsResp(WireStats {
-                    epoch: s.epoch,
-                    appended: s.appended,
-                    published: s.published,
-                    ingest_lag: s.ingest_lag,
-                    rejected: s.rejected,
-                    snapshots: s.snapshots,
-                    lag_p50: s.lag_p50,
-                    lag_p95: s.lag_p95,
-                })
-            }
-            None => Message::StatsResp(WireStats::default()),
-        },
+        Message::StatsReq => Message::StatsResp(
+            serving
+                .as_ref()
+                .map_or_else(ServingStats::default, ServingEngine::stats),
+        ),
         Message::Shutdown => Message::ShutdownAck,
         other => err(
             err_code::PROTOCOL,

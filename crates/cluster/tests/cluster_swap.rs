@@ -14,12 +14,13 @@
 //! thread-count and kernel-dispatch independence across the process
 //! boundary.
 
+use bigraph::snapshot::GraphSnapshot;
 use bigraph::{BipartiteGraph, GraphDelta, Layer};
 use cluster::{ClusterConfig, ClusterError, Coordinator};
 use cne::EstimationEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 const N_UPPER: usize = 12;
@@ -53,6 +54,20 @@ fn socket_dir(tag: &str) -> PathBuf {
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_shard-worker"))
+}
+
+/// An even `n`-way cluster over `graph`, spawned from its sequence-0
+/// snapshot with the `shard-worker` binary.
+fn spawn_even(graph: &BipartiteGraph, n: usize, dir: &Path, config: ClusterConfig) -> Coordinator {
+    Coordinator::spawn_program_from_snapshot(
+        &GraphSnapshot::capture(graph, 0),
+        Layer::Upper,
+        n,
+        dir,
+        config,
+        &worker_bin(),
+    )
+    .unwrap()
 }
 
 /// A random contiguous partition of the upper layer into `shards` ranges
@@ -134,12 +149,13 @@ fn assert_reports_identical(sharded: &cne::BatchReport, reference: &cne::BatchRe
 #[test]
 fn sharded_reports_match_unsharded_engine_byte_for_byte() {
     let graph = base_graph();
+    let snapshot = GraphSnapshot::capture(&graph, 0);
     let mut partition_rng = StdRng::seed_from_u64(0xC1A5);
     for shards in [1usize, 2, 4] {
         let ranges = random_partition(&mut partition_rng, shards);
         let dir = socket_dir(&format!("swap{shards}"));
-        let mut coordinator = Coordinator::spawn_partitioned(
-            &graph,
+        let mut coordinator = Coordinator::spawn_partitioned_from_snapshot(
+            &snapshot,
             Layer::Upper,
             ranges.clone(),
             &dir,
@@ -208,15 +224,7 @@ fn sharded_reports_match_unsharded_engine_byte_for_byte() {
 fn invalid_queries_surface_as_remote_errors() {
     let graph = base_graph();
     let dir = socket_dir("invalid");
-    let mut coordinator = Coordinator::spawn_program(
-        &graph,
-        Layer::Upper,
-        2,
-        &dir,
-        ClusterConfig::default(),
-        &worker_bin(),
-    )
-    .unwrap();
+    let mut coordinator = spawn_even(&graph, 2, &dir, ClusterConfig::default());
     // Duplicate candidate: rejected by round-1 validation on the owner.
     let err = coordinator
         .estimate_batch(Layer::Upper, 0, &[1, 2, 1], EPSILON, 5)
@@ -250,8 +258,7 @@ fn killed_worker_yields_typed_partial_result_within_timeout() {
         },
         ..ClusterConfig::default()
     };
-    let mut coordinator =
-        Coordinator::spawn_program(&graph, Layer::Upper, 2, &dir, config, &worker_bin()).unwrap();
+    let mut coordinator = spawn_even(&graph, 2, &dir, config);
     let candidates: Vec<u32> = (1..N_UPPER as u32).collect();
     // Healthy first: both shards answer.
     coordinator
@@ -300,8 +307,8 @@ fn killed_worker_yields_typed_partial_result_within_timeout() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The recovery contract: a cluster spawned from a **snapshot** rebuilds
-/// a killed worker — respawn, snapshot re-bootstrap, drained-tail replay
+/// The recovery contract: a cluster rebuilds a killed worker from its
+/// shard snapshot — respawn, snapshot re-bootstrap, drained-tail replay
 /// (non-idempotent `AddVertex` included), flush — and both pre-kill and
 /// post-recovery reports stay byte-identical to an unsharded engine over
 /// the same stream.
@@ -309,16 +316,7 @@ fn killed_worker_yields_typed_partial_result_within_timeout() {
 fn killed_worker_is_rebuilt_from_snapshot_with_byte_identical_reports() {
     let graph = base_graph();
     let dir = socket_dir("supervise");
-    let snapshot = bigraph::snapshot::GraphSnapshot::capture(&graph, 0);
-    let mut coordinator = Coordinator::spawn_program_from_snapshot(
-        &snapshot,
-        Layer::Upper,
-        3,
-        &dir,
-        ClusterConfig::default(),
-        &worker_bin(),
-    )
-    .unwrap();
+    let mut coordinator = spawn_even(&graph, 3, &dir, ClusterConfig::default());
     let mut reference = EstimationEngine::from_graph(graph.clone());
 
     // Snapshot bootstrap itself must be invisible to the protocol.
@@ -398,7 +396,7 @@ fn killed_worker_is_rebuilt_from_snapshot_with_byte_identical_reports() {
 fn cluster_restart_reuses_shard_files_behind_the_manifest() {
     let graph = base_graph();
     let dir = socket_dir("reuse");
-    let snapshot = bigraph::snapshot::GraphSnapshot::capture(&graph, 0);
+    let snapshot = GraphSnapshot::capture(&graph, 0);
     let spawn = |dir: &std::path::Path, n: usize| {
         Coordinator::spawn_program_from_snapshot(
             &snapshot,
@@ -460,48 +458,15 @@ fn cluster_restart_reuses_shard_files_behind_the_manifest() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Edge-bootstrapped clusters retain no snapshot source: supervision of
-/// a dead worker reports the typed error instead of silently skipping.
-#[test]
-fn supervision_without_snapshot_source_is_a_typed_error() {
-    let graph = base_graph();
-    let dir = socket_dir("nosrc");
-    let mut coordinator = Coordinator::spawn_program(
-        &graph,
-        Layer::Upper,
-        2,
-        &dir,
-        ClusterConfig::default(),
-        &worker_bin(),
-    )
-    .unwrap();
-    assert!(coordinator.supervise().unwrap().is_empty());
-    coordinator.kill_worker(0).unwrap();
-    let err = coordinator.supervise().unwrap_err();
-    assert!(
-        matches!(err, ClusterError::NoSnapshotSource { worker: 0 }),
-        "got {err:?}"
-    );
-    drop(coordinator);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A worker that merely loses its connection (not its process) is picked
-/// back up by the coordinator's reconnect-and-resend retry: state
-/// survives across connections.
+/// [`Coordinator::stats`] sums every worker's serving counters: after a
+/// flushed stream, each edge delta is counted once (on its owner) and
+/// each broadcast `AddVertex` once per worker, with nothing left in
+/// flight and nothing rejected.
 #[test]
 fn stats_rollup_aggregates_worker_counters() {
     let graph = base_graph();
     let dir = socket_dir("stats");
-    let mut coordinator = Coordinator::spawn_program(
-        &graph,
-        Layer::Upper,
-        2,
-        &dir,
-        ClusterConfig::default(),
-        &worker_bin(),
-    )
-    .unwrap();
+    let mut coordinator = spawn_even(&graph, 2, &dir, ClusterConfig::default());
     let stream = update_stream(99);
     let n_deltas = stream.len() as u64;
     let broadcasts = stream
@@ -519,5 +484,43 @@ fn stats_rollup_aggregates_worker_counters() {
     assert_eq!(stats.rejected, 0);
     assert!(stats.min_epoch >= 1, "every worker published at least once");
     drop(coordinator);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spawn whose second launch fails returns the typed spawn error and
+/// leaves no process behind: the worker that did start is killed and
+/// reaped before the error surfaces.
+#[test]
+fn failed_spawn_reaps_the_workers_it_started() {
+    let graph = base_graph();
+    let dir = socket_dir("failed-spawn");
+    let started = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let record = std::sync::Arc::clone(&started);
+    let err = Coordinator::spawn_partitioned_from_snapshot(
+        &GraphSnapshot::capture(&graph, 0),
+        Layer::Upper,
+        vec![0..6, 6..u32::MAX],
+        &dir,
+        ClusterConfig::default(),
+        move |spec| {
+            if spec.index == 1 {
+                return Err(std::io::Error::other("injected launch failure"));
+            }
+            let child = cluster::worker_command(&worker_bin(), spec).spawn()?;
+            record.lock().unwrap().push(child.id());
+            Ok(child)
+        },
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, ClusterError::Spawn { worker: 1, .. }),
+        "got {err:?}"
+    );
+    let pids = started.lock().unwrap().clone();
+    assert_eq!(pids.len(), 1);
+    assert!(
+        !Path::new(&format!("/proc/{}", pids[0])).exists(),
+        "worker 0 must be killed and reaped"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -267,36 +267,12 @@ fn live_split_and_merge_are_byte_identical_with_zero_failed_queries() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Misuse is typed, not a panic or a hang: rebalancing an edge-list
-/// bootstrapped cluster (no base graph) and double-begin both surface
+/// Misuse is typed, not a panic or a hang: a double begin surfaces
 /// [`ClusterError::Rebalance`] at step `"begin"` with `rolled_back:
 /// true`, leaving the cluster serving exactly as before.
 #[test]
 fn rebalance_misuse_is_a_typed_begin_error() {
     let graph = base_graph();
-
-    // Edge-list bootstrap: no snapshot source, no base graph.
-    let dir = socket_dir("misuse-edges");
-    let mut coordinator = Coordinator::spawn_with(&graph, Layer::Upper, 2, &dir, inert_config(), {
-        let bin = worker_bin();
-        move |spec| {
-            let mut cmd = cluster::worker_command(&bin, spec);
-            cmd.env_remove(FAULT_PLAN_ENV);
-            cmd.spawn()
-        }
-    })
-    .unwrap();
-    let err = coordinator.rebalance_to(4).unwrap_err();
-    match err {
-        ClusterError::Rebalance {
-            step: "begin",
-            rolled_back: true,
-            ..
-        } => {}
-        other => panic!("expected typed begin error, got {other:?}"),
-    }
-    drop(coordinator);
-    let _ = std::fs::remove_dir_all(&dir);
 
     // Double-begin: the second begin is rejected, the first stays armed
     // and still drives to completion.
@@ -328,18 +304,87 @@ fn rebalance_misuse_is_a_typed_begin_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A non-contiguous target partition is a programming error, caught by
-/// the same cover assertion the spawn paths use.
+/// A malformed partition is a typed error at both entry points that
+/// take one, checked before anything is launched or staged: spawn
+/// returns an invalid-parameter error without starting a worker, and
+/// `begin_rebalance` returns the typed `"begin"` misuse error while the
+/// old topology keeps answering.
 #[test]
-#[should_panic(expected = "contiguous")]
 #[allow(clippy::single_range_in_vec_init)]
-fn malformed_rebalance_partition_panics() {
+fn malformed_partitions_are_typed_errors() {
     let graph = base_graph();
     let dir = socket_dir("malformed");
     let snapshot = GraphSnapshot::capture(&graph, 0);
-    let mut coordinator = spawn_hermetic(&snapshot, Vec::from([0..u32::MAX]), &dir, inert_config());
-    // Gap between 5 and 6: not a cover.
-    let _ = coordinator.begin_rebalance(vec![0..5, 6..u32::MAX]);
+    let mut reference = EstimationEngine::from_graph(graph.clone());
+    let no_launch = |_: &cluster::WorkerSpec| -> std::io::Result<std::process::Child> {
+        panic!("a malformed spawn must fail before launching any worker")
+    };
+
+    // Spawn: a gap, a missing open end, no ranges at all, and a snapshot
+    // pinned past sequence 0 are all rejected up front.
+    for ranges in [vec![0..5, 6..u32::MAX], vec![0..5], Vec::new()] {
+        let err = Coordinator::spawn_partitioned_from_snapshot(
+            &snapshot,
+            Layer::Upper,
+            ranges.clone(),
+            &dir,
+            inert_config(),
+            no_launch,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ClusterError::Query(cne::CneError::InvalidParameter { name: "ranges", .. })
+            ),
+            "{ranges:?}: got {err:?}"
+        );
+    }
+    let pinned = GraphSnapshot::capture(&graph, 7);
+    let err = Coordinator::spawn_partitioned_from_snapshot(
+        &pinned,
+        Layer::Upper,
+        vec![0..u32::MAX],
+        &dir,
+        inert_config(),
+        no_launch,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ClusterError::Query(cne::CneError::InvalidParameter {
+                name: "snapshot",
+                ..
+            })
+        ),
+        "got {err:?}"
+    );
+
+    // Rebalance: a gap between 5 and 6 is the typed begin error, nothing
+    // is armed, and the old topology still answers byte-identically.
+    let mut coordinator = spawn_hermetic(&snapshot, vec![0..6, 6..u32::MAX], &dir, inert_config());
+    let err = coordinator
+        .begin_rebalance(vec![0..5, 6..u32::MAX])
+        .unwrap_err();
+    match err {
+        ClusterError::Rebalance {
+            step: "begin",
+            rolled_back: true,
+            ..
+        } => {}
+        other => panic!("expected typed begin error, got {other:?}"),
+    }
+    assert!(coordinator.rebalance_in_flight().is_none());
+    assert_eq!(coordinator.generation(), 0);
+    assert!(matches!(
+        coordinator.rebalance_to(0).unwrap_err(),
+        ClusterError::Rebalance { step: "begin", .. }
+    ));
+    assert_eq!(coordinator.ranges(), &[0..6, 6..u32::MAX][..]);
+    assert_query_identical(&mut coordinator, &mut reference, 9);
+    drop(coordinator);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {

@@ -220,7 +220,7 @@ impl Default for ServingConfig {
 /// Counters describing a [`ServingEngine`]'s ingest/publish state, from
 /// [`ServingEngine::stats`]. All values are monotone except `ingest_lag`
 /// and the lag percentiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServingStats {
     /// Current published epoch (number of buffer swaps since start).
     pub epoch: u64,
