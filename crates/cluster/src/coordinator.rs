@@ -12,7 +12,8 @@
 //! 2. **Round 2 at each candidate's owner.** The coordinator groups
 //!    candidates by owning range and ships the round-1 artifact to each
 //!    owner, which computes its slice of estimates against its own
-//!    (complete) adjacency.
+//!    (complete) adjacency. All requests are written before any response
+//!    is read, so the owners work at once without a thread per worker.
 //! 3. **Concatenate + replay.** Estimates come back bit-exact and are
 //!    placed at their original indices; the coordinator replays the
 //!    budget/transcript accounting locally (replay never draws
@@ -638,36 +639,46 @@ fn replay_drained_tail(
 /// unhealthy and surfaces [`ClusterError::WorkerDown`].
 ///
 /// A free function over one worker's state (not a `Coordinator` method)
-/// so the round-2 fan-out can drive disjoint workers from scoped threads.
+/// so supervision and rebalancing can drive workers that are not in the
+/// table yet, or no longer.
 fn exchange(
     config: &ClusterConfig,
     worker: &mut Worker,
     msg: &Message,
     context: &'static str,
 ) -> Result<Message> {
-    match try_exchange(config, worker, msg) {
+    let first = try_exchange(config, worker, msg);
+    settle(config, worker, msg, context, first)
+}
+
+/// Finishes an exchange whose first attempt gave `first`: a success
+/// marks the worker healthy; a failure gets [`exchange`]'s
+/// reconnect-and-resend-once.
+fn settle(
+    config: &ClusterConfig,
+    worker: &mut Worker,
+    msg: &Message,
+    context: &'static str,
+    first: io::Result<Message>,
+) -> Result<Message> {
+    let outcome = first.or_else(|_| {
+        // The worker may be restarting: reconnect and resend once.
+        worker.conn = None;
+        try_exchange(config, worker, msg)
+    });
+    match outcome {
         Ok(resp) => {
             worker.healthy = true;
             Ok(resp)
         }
-        Err(_) => {
-            // The worker may be restarting: reconnect and resend once.
+        Err(source) => {
             worker.conn = None;
-            match try_exchange(config, worker, msg) {
-                Ok(resp) => {
-                    worker.healthy = true;
-                    Ok(resp)
-                }
-                Err(source) => {
-                    worker.conn = None;
-                    worker.healthy = false;
-                    Err(ClusterError::WorkerDown {
-                        worker: worker.spec.index,
-                        context,
-                        source,
-                    })
-                }
-            }
+            worker.healthy = false;
+            Err(ClusterError::WorkerDown {
+                worker: worker.spec.index,
+                context,
+                source,
+            })
         }
     }
 }
@@ -675,9 +686,25 @@ fn exchange(
 /// Sends `msg` on the worker's connection (establishing it first if
 /// needed) and reads one response frame.
 fn try_exchange(config: &ClusterConfig, worker: &mut Worker, msg: &Message) -> io::Result<Message> {
+    try_send(config, worker, msg)?;
+    try_recv(worker)
+}
+
+/// Sends `msg` on the worker's connection, establishing it first if
+/// needed.
+fn try_send(config: &ClusterConfig, worker: &mut Worker, msg: &Message) -> io::Result<()> {
     ensure_connected(config, worker)?;
     let conn = worker.conn.as_mut().expect("just connected");
-    send_with_faults(&config.faults, conn, msg)?;
+    send_with_faults(&config.faults, conn, msg)
+}
+
+/// Reads one response frame from the connection a successful
+/// [`try_send`] left up.
+fn try_recv(worker: &mut Worker) -> io::Result<Message> {
+    let conn = worker
+        .conn
+        .as_mut()
+        .expect("a successful send leaves the connection up");
     Message::read_from(conn)
 }
 
@@ -1219,54 +1246,44 @@ impl Coordinator {
             positions[idx].push(at);
         }
 
-        // Round 2 at each owner, fanned out concurrently when the host
-        // can overlap the per-shard estimate computations — one scoped
-        // thread per involved worker, each owning that worker's connection
-        // for the exchange. That overlap is where query throughput scales
-        // across the process boundary; on a single-core host the threads
-        // would only add spawn + context-switch cost, so the fan-out runs
-        // serially there. Estimates land at their original index either
-        // way.
-        let config = &self.config;
-        let round2_req = |index: usize| Message::Round2Req {
-            layer,
-            owner: target,
-            round1: wire_round1.clone(),
-            candidates: groups[index].clone(),
-        };
-        let involved = groups.iter().filter(|g| !g.is_empty()).count();
-        let overlap =
-            involved > 1 && std::thread::available_parallelism().is_ok_and(|p| p.get() > 1);
-        let responses: Vec<(usize, Result<Message>)> = if overlap {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .workers
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(index, _)| !groups[*index].is_empty())
-                    .map(|(index, worker)| {
-                        let req = round2_req(index);
-                        let handle = s.spawn(move || exchange(config, worker, &req, "round 2"));
-                        (index, handle)
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|(index, h)| (index, h.join().expect("round-2 fan-out thread")))
-                    .collect()
+        // Round 2 at each involved owner, as one scatter-gather on this
+        // thread: every request is written before any response is read, so
+        // all owners compute their slices at once, for any worker count.
+        // Responses are read in worker order. A worker whose send or read
+        // failed gets `exchange`'s reconnect-and-resend-once only after the
+        // others are read, so one faulty worker costs what it costs alone.
+        // Estimates land at their original index either way.
+        let involved: Vec<usize> = (0..self.workers.len())
+            .filter(|&index| !groups[index].is_empty())
+            .collect();
+        let requests: Vec<Message> = involved
+            .iter()
+            .map(|&index| Message::Round2Req {
+                layer,
+                owner: target,
+                round1: wire_round1.clone(),
+                candidates: std::mem::take(&mut groups[index]),
             })
-        } else {
-            (0..self.workers.len())
-                .filter(|&index| !groups[index].is_empty())
-                .map(|index| {
-                    let req = round2_req(index);
-                    (
-                        index,
-                        exchange(config, &mut self.workers[index], &req, "round 2"),
-                    )
-                })
-                .collect()
-        };
+            .collect();
+        let sent: Vec<io::Result<()>> = involved
+            .iter()
+            .zip(&requests)
+            .map(|(&index, req)| try_send(&self.config, &mut self.workers[index], req))
+            .collect();
+        let first: Vec<io::Result<Message>> = involved
+            .iter()
+            .zip(sent)
+            .map(|(&index, sent)| sent.and_then(|()| try_recv(&mut self.workers[index])))
+            .collect();
+        let responses: Vec<(usize, Result<Message>)> = involved
+            .iter()
+            .zip(&requests)
+            .zip(first)
+            .map(|((&index, req), first)| {
+                let worker = &mut self.workers[index];
+                (index, settle(&self.config, worker, req, "round 2", first))
+            })
+            .collect();
         let mut slots: Vec<Option<BatchEstimate>> = vec![None; candidates.len()];
         let mut missing = Vec::new();
         for (index, response) in responses {

@@ -30,12 +30,10 @@
 //!
 //! Frame counting (`drop`/`corrupt`/`delay`) covers coordinator *request*
 //! frames sent through the retried exchange path; handshake frames are
-//! exempt so a directive's index stays stable across reconnects. On
-//! serial coordinator paths (bootstrap, replication, flush, rebalance)
-//! the count is fully deterministic; under the concurrent round-2
-//! fan-out, which exchange the Kth frame lands on may vary with thread
-//! scheduling, but the directive still fires exactly once and the
-//! recovery contract under test is scheduling-independent.
+//! exempt so a directive's index stays stable across reconnects. Every
+//! coordinator path sends from one thread in a fixed order (the round-2
+//! fan-out writes its requests in worker order before reading any
+//! response), so which exchange the Kth frame lands on is deterministic.
 //!
 //! [`RebalanceStep`]: crate::RebalanceStep
 

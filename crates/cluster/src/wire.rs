@@ -73,6 +73,11 @@ pub const VERSION: u16 = 2;
 pub const MAX_FRAME_LEN: u32 = 1 << 30;
 /// Frame header size: kind `u8` + length `u32` + checksum `u32`.
 pub const HEADER_LEN: usize = 9;
+/// Payload buffer a frame reader reserves before any payload byte has
+/// arrived. The buffer grows past it only as bytes arrive, so a header
+/// that lies about its length costs at most this much; a round-2 frame on
+/// a BX-sized graph (~43–46 KB) fits.
+const PAYLOAD_RESERVE: usize = 64 * 1024;
 
 /// FNV-1a over the payload bytes — the frame integrity check. Not
 /// cryptographic (the peer is trusted); it exists to catch accidental
@@ -493,8 +498,15 @@ impl Message {
         if len > MAX_FRAME_LEN {
             return Err(bad_data(format!("frame length {len} exceeds cap")));
         }
-        let mut payload = vec![0u8; len as usize];
-        r.read_exact(&mut payload)?;
+        let len = len as usize;
+        let mut payload = Vec::with_capacity(len.min(PAYLOAD_RESERVE));
+        r.take(len as u64).read_to_end(&mut payload)?;
+        if payload.len() < len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("frame payload ended after {} of {len} bytes", payload.len()),
+            ));
+        }
         let found = frame_checksum(&payload);
         if found != sum {
             return Err(bad_data(format!(
@@ -887,6 +899,37 @@ mod tests {
         let err = Message::read_from(&mut retired.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("unknown message kind"), "{err}");
+    }
+
+    /// A header claiming the largest allowed payload, followed by EOF,
+    /// must fail without the reader ever being handed a buffer past the
+    /// initial reservation: the payload buffer grows only as bytes arrive.
+    #[test]
+    fn a_lying_length_prefix_allocates_only_the_reservation() {
+        struct Recording<'a> {
+            bytes: &'a [u8],
+            largest: usize,
+        }
+        impl Read for Recording<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                self.bytes.read(buf)
+            }
+        }
+        let mut header = vec![kind::ROUND2_REQ];
+        header.extend_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+        header.extend_from_slice(&0u32.to_le_bytes());
+        let mut r = Recording {
+            bytes: &header,
+            largest: 0,
+        };
+        let err = Message::read_from(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(
+            r.largest <= PAYLOAD_RESERVE,
+            "reader was handed a {}-byte buffer",
+            r.largest
+        );
     }
 
     /// The integrity check must catch a flipped payload byte even when

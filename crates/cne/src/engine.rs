@@ -971,9 +971,10 @@ thread_local! {
 /// The parallel fan-outs hold one arena per rayon worker (the "shard"
 /// granularity): each worker's inner candidate loop borrows the arena per
 /// candidate, so after the buffers reach the working size the loop
-/// performs zero heap allocations. On the main thread the arena persists
-/// across engine calls, which is what makes the *warm* single-threaded
-/// batch path allocation-free end to end.
+/// performs zero heap allocations. The calling thread (which runs the
+/// first chunk) and the rayon pool's workers are long-lived, so every
+/// arena persists across engine calls, which is what makes the *warm*
+/// batch path allocation-free end to end at any thread count.
 pub fn with_shard_scratch<R>(f: impl FnOnce(&mut ScratchArena) -> R) -> R {
     SHARD_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }

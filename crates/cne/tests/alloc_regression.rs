@@ -78,28 +78,17 @@ fn dense_screening_graph() -> BipartiteGraph {
     BipartiteGraph::from_edges(n_upper as usize, N_ITEMS as usize, edges).expect("valid edges")
 }
 
-/// One test function (not several) so no concurrent test thread can
-/// perturb the global allocation counter mid-measurement.
-#[test]
-fn warm_batch_inner_loop_is_allocation_free_per_candidate() {
-    // Pin the fan-out to the calling thread: worker threads spawned per
-    // call would (legitimately) allocate their stacks, and the thread-local
-    // scratch arenas of short-lived workers cannot stay warm. On one
-    // thread the arena persists across calls, which is the steady state a
-    // long-lived single-shard service sees.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let g = dense_screening_graph();
-    let small: Vec<u32> = (1..=30).collect();
-    let large: Vec<u32> = (1..=120).collect();
-    let algo = BatchSingleSource::default();
-
-    // --- Warm engine path: candidates come from the adjacency cache. ----
-    let engine = EstimationEngine::new(&g);
+/// The warm engine: candidates come from the adjacency cache. The count
+/// must not depend on the number of candidates, and the per-call constant
+/// stays a handful of buffers (noisy list, packed target, report vectors)
+/// — catch regressions that stay O(1) but balloon.
+fn check_warm_engine(g: &BipartiteGraph, small: &[u32], large: &[u32], threads: &str) {
+    let engine = EstimationEngine::new(g);
     engine.warm(Layer::Upper);
     // Warmup: grow the thread-local scratch and any lazy cache slots.
     for _ in 0..2 {
         engine
-            .estimate_batch(Layer::Upper, 0, &large, 2.0, &mut StdRng::seed_from_u64(7))
+            .estimate_batch(Layer::Upper, 0, large, 2.0, &mut StdRng::seed_from_u64(7))
             .expect("valid batch");
     }
 
@@ -108,27 +97,101 @@ fn warm_batch_inner_loop_is_allocation_free_per_candidate() {
     // allocation count is attributable to the per-candidate loop.
     let (allocs_small, report_small) = allocations_during(|| {
         engine
-            .estimate_batch(Layer::Upper, 0, &small, 2.0, &mut StdRng::seed_from_u64(7))
+            .estimate_batch(Layer::Upper, 0, small, 2.0, &mut StdRng::seed_from_u64(7))
             .expect("valid batch")
     });
     let (allocs_large, report_large) = allocations_during(|| {
         engine
-            .estimate_batch(Layer::Upper, 0, &large, 2.0, &mut StdRng::seed_from_u64(7))
+            .estimate_batch(Layer::Upper, 0, large, 2.0, &mut StdRng::seed_from_u64(7))
             .expect("valid batch")
     });
-    assert_eq!(report_small.estimates.len(), 30);
-    assert_eq!(report_large.estimates.len(), 120);
+    assert_eq!(report_small.estimates.len(), small.len());
+    assert_eq!(report_large.estimates.len(), large.len());
     assert_eq!(
-        allocs_small, allocs_large,
-        "warm estimate_batch allocated per candidate: {allocs_small} allocations for 30 \
-         candidates vs {allocs_large} for 120"
+        allocs_small,
+        allocs_large,
+        "warm estimate_batch at {threads} thread(s) allocated per candidate: {allocs_small} \
+         allocations for {} candidates vs {allocs_large} for {}",
+        small.len(),
+        large.len()
     );
-    // The per-call constant stays a handful of buffers (noisy list, packed
-    // target, report vectors) — catch regressions that stay O(1) but balloon.
     assert!(
         allocs_large < 40,
-        "warm estimate_batch should allocate only a few per-call buffers, got {allocs_large}"
+        "warm estimate_batch at {threads} thread(s) should allocate only a few per-call \
+         buffers, got {allocs_large}"
     );
+}
+
+/// The serving path: pin a snapshot, query through it. The epoch-pinned
+/// snapshot must add zero allocations on the warm path: pinning is a slot
+/// CAS plus an uncontended read guard, and the query runs the same engine
+/// code as [`check_warm_engine`]. A long poll interval parks the writer
+/// thread between cycles, but its start-up allocations can still land
+/// inside a measured window; the minimum over repeats in
+/// `allocations_during` filters them out.
+fn check_serving(g: &BipartiteGraph, small: &[u32], large: &[u32], threads: &str) {
+    let serving = cne::serving::ServingEngine::with_config(
+        g.clone(),
+        cne::serving::ServingConfig {
+            warm_layer: Some(Layer::Upper),
+            poll_interval: std::time::Duration::from_secs(30),
+            ..cne::serving::ServingConfig::default()
+        },
+    );
+    for _ in 0..2 {
+        serving
+            .snapshot()
+            .estimate_batch(Layer::Upper, 0, large, 2.0, &mut StdRng::seed_from_u64(7))
+            .expect("valid batch");
+    }
+    let (allocs_pin, _) = allocations_during(|| serving.snapshot());
+    assert_eq!(
+        allocs_pin, 0,
+        "pinning a snapshot must not allocate, got {allocs_pin}"
+    );
+    let (allocs_small, _) = allocations_during(|| {
+        serving
+            .snapshot()
+            .estimate_batch(Layer::Upper, 0, small, 2.0, &mut StdRng::seed_from_u64(7))
+            .expect("valid batch")
+    });
+    let (allocs_large, _) = allocations_during(|| {
+        serving
+            .snapshot()
+            .estimate_batch(Layer::Upper, 0, large, 2.0, &mut StdRng::seed_from_u64(7))
+            .expect("valid batch")
+    });
+    assert_eq!(
+        allocs_small,
+        allocs_large,
+        "serving snapshot estimate_batch at {threads} thread(s) allocated per candidate: \
+         {allocs_small} for {} vs {allocs_large} for {}",
+        small.len(),
+        large.len()
+    );
+    assert!(
+        allocs_large < 40,
+        "serving snapshot batch at {threads} thread(s) should match the warm engine's \
+         per-call constant, got {allocs_large}"
+    );
+}
+
+/// One test function (not several) so no concurrent test thread can
+/// perturb the global allocation counter mid-measurement.
+#[test]
+fn warm_batch_inner_loop_is_allocation_free_per_candidate() {
+    // One thread first: every chunk runs on the calling thread, whose
+    // scratch arena persists across calls, which is the steady state a
+    // long-lived single-shard service sees. The two-thread leg below
+    // repeats the warm and serving paths on the rayon pool, whose workers
+    // keep their own arenas warm across calls.
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let g = dense_screening_graph();
+    let small: Vec<u32> = (1..=30).collect();
+    let large: Vec<u32> = (1..=120).collect();
+    let algo = BatchSingleSource::default();
+
+    check_warm_engine(&g, &small, &large, "1");
 
     // --- Uncached path: packing reuses the worker's scratch arena. ------
     for _ in 0..2 {
@@ -170,55 +233,13 @@ fn warm_batch_inner_loop_is_allocation_free_per_candidate() {
          {allocs_large} for 120"
     );
 
-    // --- Serving path: pin a snapshot, query through it (ISSUE 7). ------
-    // The epoch-pinned snapshot must add zero allocations on the warm
-    // path: pinning is a slot CAS plus an uncontended read guard, and the
-    // query runs the same engine code as above. A long poll interval
-    // parks the writer thread between cycles, but its start-up
-    // allocations can still land inside a measured window; the minimum
-    // over repeats in `allocations_during` filters them out.
-    let serving = cne::serving::ServingEngine::with_config(
-        g.clone(),
-        cne::serving::ServingConfig {
-            warm_layer: Some(Layer::Upper),
-            poll_interval: std::time::Duration::from_secs(30),
-            ..cne::serving::ServingConfig::default()
-        },
-    );
-    for _ in 0..2 {
-        serving
-            .snapshot()
-            .estimate_batch(Layer::Upper, 0, &large, 2.0, &mut StdRng::seed_from_u64(7))
-            .expect("valid batch");
-    }
-    let (allocs_pin, _) = allocations_during(|| serving.snapshot());
-    assert_eq!(
-        allocs_pin, 0,
-        "pinning a snapshot must not allocate, got {allocs_pin}"
-    );
-    let (allocs_small, _) = allocations_during(|| {
-        serving
-            .snapshot()
-            .estimate_batch(Layer::Upper, 0, &small, 2.0, &mut StdRng::seed_from_u64(7))
-            .expect("valid batch")
-    });
-    let (allocs_large, _) = allocations_during(|| {
-        serving
-            .snapshot()
-            .estimate_batch(Layer::Upper, 0, &large, 2.0, &mut StdRng::seed_from_u64(7))
-            .expect("valid batch")
-    });
-    assert_eq!(
-        allocs_small, allocs_large,
-        "serving snapshot estimate_batch allocated per candidate: {allocs_small} for 30 vs \
-         {allocs_large} for 120"
-    );
-    assert!(
-        allocs_large < 40,
-        "serving snapshot batch should match the warm engine's per-call constant, got \
-         {allocs_large}"
-    );
-    drop(serving);
+    check_serving(&g, &small, &large, "1");
+
+    // Two threads, set explicitly so the leg does not depend on the host's
+    // core count: the same warm and serving paths on the pool.
+    std::env::set_var("RAYON_NUM_THREADS", "2");
+    check_warm_engine(&g, &small, &large, "2");
+    check_serving(&g, &small, &large, "2");
 
     std::env::remove_var("RAYON_NUM_THREADS");
 }
