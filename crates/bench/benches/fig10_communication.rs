@@ -1,5 +1,5 @@
 //! Regenerates Figure 10 (communication costs) and benchmarks the
-//! noisy-neighbor-list generation that dominates the message volume.
+//! noisy-row generation that dominates the message volume.
 
 use bench::{bench_context, print_tables};
 use bigraph::Layer;
@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use datasets::DatasetCode;
 use eval::experiments::fig10_communication;
 use ldp::budget::PrivacyBudget;
-use ldp::noisy_graph::NoisyNeighbors;
+use ldp::noisy_graph::NoisyNeighborsPacked;
+use ldp::PerturbScratch;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
@@ -19,8 +20,9 @@ fn bench_fig10(c: &mut Criterion) {
     let tables = fig10_communication::run(&config);
     print_tables("Figure 10: communication costs", &tables);
 
-    // Kernel: generating (and sizing) one noisy neighbor list at different
-    // budgets — this upload dominates every algorithm's message volume.
+    // Kernel: generating (and sizing) one noisy row at different budgets —
+    // this upload dominates every algorithm's message volume (4 bytes per
+    // noisy edge).
     let dataset = config
         .context
         .catalog
@@ -33,9 +35,18 @@ fn bench_fig10(c: &mut Criterion) {
         group.bench_function(format!("perturb_list_eps{eps}"), |b| {
             let budget = PrivacyBudget::new(eps).expect("valid budget");
             let mut rng = ChaCha12Rng::seed_from_u64(10);
+            let mut scratch = PerturbScratch::new();
             b.iter(|| {
-                let list = NoisyNeighbors::generate(&graph, Layer::Upper, 0, budget, &mut rng);
-                criterion::black_box(list.message_bytes())
+                let row = NoisyNeighborsPacked::generate_with(
+                    &graph,
+                    Layer::Upper,
+                    0,
+                    budget,
+                    &mut rng,
+                    &mut scratch,
+                    None,
+                );
+                criterion::black_box(row.message_bytes())
             });
         });
     }

@@ -11,26 +11,9 @@ use ldp::randomized_response::RandomizedResponse;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-fn bench_randomized_response(c: &mut Criterion) {
-    let mut group = c.benchmark_group("micro/randomized_response");
-    let rr = RandomizedResponse::new(PrivacyBudget::new(2.0).expect("valid"));
-    for n in [1_000usize, 10_000, 100_000] {
-        let truth: Vec<u32> = (0..(n as u32 / 100)).collect();
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("perturb_list", n), &n, |b, &n| {
-            let mut rng = ChaCha12Rng::seed_from_u64(1);
-            b.iter(|| criterion::black_box(rr.perturb_neighbor_list(&truth, n, &mut rng).len()));
-        });
-    }
-    group.finish();
-}
-
-/// The tentpole workload: sparse rows (n = 100k, d = 10) where the geometric
-/// skip sampler does `O(d + p·n)` work while the dense reference pays for
-/// every one of the `n` slots. At ε = 4 the skip path must be ≥10× faster,
-/// and the packed-native path (noisy bits written straight into `u64`
-/// words — no id list, no merge) must be ≥2× the PR-3 list-producing
-/// baseline at both budgets (acceptance bars recorded in BENCH_micro.json).
+/// Sparse rows (n = 100k, d = 10) where the geometric skip sampler does
+/// `O(d + p·n)` work while the dense reference pays for every one of the
+/// `n` slots. bench_check gates packed/dense at both budgets.
 fn bench_perturb_sparse_large(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/perturb_sparse_large");
     let n = 100_000usize;
@@ -38,10 +21,6 @@ fn bench_perturb_sparse_large(c: &mut Criterion) {
     for eps in [1.0f64, 4.0] {
         let rr = RandomizedResponse::new(PrivacyBudget::new(eps).expect("valid"));
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("skip", eps), &n, |b, &n| {
-            let mut rng = ChaCha12Rng::seed_from_u64(5);
-            b.iter(|| criterion::black_box(rr.perturb_neighbor_list(&truth, n, &mut rng).len()));
-        });
         group.bench_with_input(BenchmarkId::new("packed", eps), &n, |b, &n| {
             let mut rng = ChaCha12Rng::seed_from_u64(5);
             let mut scratch = ldp::PerturbScratch::new();
@@ -90,15 +69,16 @@ fn bench_packed_vs_merge_intersection(c: &mut Criterion) {
     let truth_a: Vec<u32> = (0..20u32).map(|i| i * 4_999).collect();
     let truth_b: Vec<u32> = (0..20u32).map(|i| i * 4_999 + 7).collect();
     let mut rng = ChaCha12Rng::seed_from_u64(6);
-    // Two ε = 1 noisy lists: ~27k entries each over a 100k universe.
-    let a = rr.perturb_neighbor_list(&truth_a, n, &mut rng);
-    let b = rr.perturb_neighbor_list(&truth_b, n, &mut rng);
+    let mut scratch = ldp::PerturbScratch::new();
+    // Two ε = 1 noisy rows: ~27k entries each over a 100k universe, plus
+    // their id lists for the merge and pack legs.
+    let pa = rr.perturb_neighbor_list_packed(&truth_a, None, n, &mut rng, &mut scratch);
+    let pb = rr.perturb_neighbor_list_packed(&truth_b, None, n, &mut rng, &mut scratch);
+    let (a, b) = (pa.to_sorted_ids(), pb.to_sorted_ids());
     group.throughput(Throughput::Elements((a.len() + b.len()) as u64));
     group.bench_function("sorted_merge", |bench| {
         bench.iter(|| criterion::black_box(common_neighbors::intersection_size(&a, &b)));
     });
-    let pa = PackedSet::from_sorted(&a, n);
-    let pb = PackedSet::from_sorted(&b, n);
     // The unrolled 4×u64 kernel behind `intersection_size` ...
     group.bench_function("packed_popcount", |bench| {
         bench.iter(|| criterion::black_box(pa.intersection_size(&pb)));
@@ -239,34 +219,6 @@ fn bench_rng_setup(c: &mut Criterion) {
     group.finish();
 }
 
-/// Block Laplace sampling (`sample_laplace_block`, bulk uniform refill via
-/// `fill_bytes`) against one `sample_laplace` per draw — draw-for-draw
-/// identical streams, gated in bench_check.
-fn bench_laplace_block(c: &mut Criterion) {
-    let mut group = c.benchmark_group("micro/laplace_block");
-    let n = 256usize;
-    group.throughput(Throughput::Elements(n as u64));
-    group.bench_function("block_256", |b| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let mut out = vec![0.0f64; n];
-        b.iter(|| {
-            ldp::laplace::sample_laplace_block(1.5, &mut rng, &mut out);
-            criterion::black_box(out[n - 1])
-        });
-    });
-    group.bench_function("scalar_256", |b| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let mut out = vec![0.0f64; n];
-        b.iter(|| {
-            for slot in out.iter_mut() {
-                *slot = sample_laplace(1.5, &mut rng);
-            }
-            criterion::black_box(out[n - 1])
-        });
-    });
-    group.finish();
-}
-
 fn bench_exact_counting(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/exact_c2");
     let mut rng = ChaCha12Rng::seed_from_u64(3);
@@ -307,14 +259,12 @@ fn bench_graph_build(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_randomized_response,
     bench_perturb_sparse_large,
     bench_packed_vs_merge_intersection,
     bench_batch_engine,
     bench_laplace,
     bench_popcount_kernels,
     bench_rng_setup,
-    bench_laplace_block,
     bench_exact_counting,
     bench_graph_build
 );

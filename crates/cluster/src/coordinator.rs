@@ -1190,7 +1190,9 @@ impl Coordinator {
     ///
     /// [`ClusterError::PartialResult`] when a shard's slice is missing
     /// (dead worker), [`ClusterError::Remote`] for worker-reported query
-    /// errors (invalid target, duplicate candidates, …), and
+    /// errors (invalid target, duplicate candidates, a noisy row over the
+    /// wrong universe, …), [`ClusterError::Protocol`] when the owner's
+    /// noisy row cannot span the opposite layer, and
     /// [`ClusterError::Query`] for coordinator-side assembly failures.
     pub fn estimate_batch(
         &mut self,
@@ -1236,6 +1238,7 @@ impl Coordinator {
                 })
             }
         };
+        self.check_row_universe(owner, layer, wire_round1.universe)?;
 
         // Group candidates by owning worker, preserving relative order.
         let mut groups: Vec<Vec<u32>> = vec![Vec::new(); self.workers.len()];
@@ -1338,6 +1341,30 @@ impl Coordinator {
         self.algo
             .assemble_report(layer, target, &round1, estimates)
             .map_err(ClusterError::Query)
+    }
+
+    /// Rejects a round-1 row whose universe cannot be the opposite layer's
+    /// size on any worker, before it is fanned out. Workers check the
+    /// universe exactly against their own layer; this replica is folded
+    /// lazily, so it can only bound it: no smaller than the replica's
+    /// layer (every worker started from it or from a later state, and
+    /// vertices are never removed) and no larger than that plus one vertex
+    /// per delta logged since.
+    fn check_row_universe(&self, owner: usize, layer: Layer, universe: u64) -> Result<()> {
+        let known = self.base.graph.layer_size(layer.opposite()) as u64;
+        let growth = self.log.appended().saturating_sub(self.base.seq);
+        if (known..=known + growth).contains(&universe) {
+            return Ok(());
+        }
+        Err(ClusterError::Protocol {
+            worker: owner,
+            detail: format!(
+                "round 1 returned a noisy row over {universe} vertices; the {:?} layer \
+                 has between {known} and {} of them",
+                layer.opposite(),
+                known + growth
+            ),
+        })
     }
 
     // ------------------------------------------------------------ stats

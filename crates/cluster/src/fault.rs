@@ -176,6 +176,8 @@ pub struct FaultInjector {
     writes: AtomicU64,
     /// Worker-side responses written so far (worker processes only).
     responses: AtomicU64,
+    /// Kind byte of the frame the `corrupt` directive hit, once it fired.
+    corrupted_kind: OnceLock<u8>,
     /// Indices into `plan.kill` that have already fired.
     kills_fired: Mutex<Vec<bool>>,
     /// Whether the reproduction banner has been printed.
@@ -223,6 +225,14 @@ impl FaultInjector {
         &self.plan
     }
 
+    /// The kind byte of the frame the `corrupt` directive corrupted, once
+    /// it has fired (`None` before, or with no `corrupt` directive). Lets a
+    /// chaos test assert *which* message its fault landed on.
+    #[must_use]
+    pub fn corrupted_kind(&self) -> Option<u8> {
+        self.corrupted_kind.get().copied()
+    }
+
     /// Prints the reproduction banner once per injector: the seed and
     /// the verbatim plan string, so any failure downstream of an
     /// injected fault can be replayed exactly.
@@ -265,6 +275,7 @@ impl FaultInjector {
             } else {
                 0
             };
+            let _ = self.corrupted_kind.set(frame[0]);
             frame[at] ^= ((h >> 8) as u8) | 1;
         }
         if self.plan.drop_frame == Some(nth) {

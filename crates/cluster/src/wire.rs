@@ -47,6 +47,10 @@
 //! | 0x71 | `ShutdownAck` | —                                                        |
 //! | 0x7F | `Err`         | code `u16`, UTF-8 message (rest of payload)              |
 //!
+//! The noisy row in `Round1Resp` and `Round2Req` must decode to a
+//! well-formed packed set: `n_words = ⌈universe/64⌉` and no bit set past
+//! `universe`. Anything else is `InvalidData`, never a row.
+//!
 //! Kind 0x10 is **retired**: it carried a shard's full edge list, back
 //! when workers could bootstrap from streamed edges instead of a snapshot
 //! file. It is never reassigned, and a frame carrying it is rejected as
@@ -120,7 +124,9 @@ pub struct WireRound1 {
     pub base_seed: u64,
     /// Bit universe of the packed row (the opposite layer's size).
     pub universe: u64,
-    /// The noisy row's raw 64-bit words.
+    /// The noisy row's raw 64-bit words: decoding rejects a row that does
+    /// not hold exactly `⌈universe/64⌉` of them or sets a bit past
+    /// `universe`.
     pub words: Vec<u64>,
 }
 
@@ -619,10 +625,22 @@ fn take_round1(c: &mut Cursor<'_>) -> io::Result<WireRound1> {
     let rr_epsilon = c.f64()?;
     let base_seed = c.u64()?;
     let universe = c.u64()?;
-    let n_words = c.u32()? as usize;
-    let mut words = Vec::with_capacity(n_words.min(1 << 24));
+    let n_words = c.u32()?;
+    // A row must be a well-formed `PackedSet`: exactly ⌈universe/64⌉
+    // words and no bit set past `universe`.
+    if u64::from(n_words) != universe.div_ceil(64) {
+        return Err(bad_data(format!(
+            "noisy row has {n_words} words for a {universe}-bit universe"
+        )));
+    }
+    let mut words = Vec::with_capacity((n_words as usize).min(1 << 24));
     for _ in 0..n_words {
         words.push(c.u64()?);
+    }
+    if universe % 64 != 0 && words.last().is_some_and(|&w| w >> (universe % 64) != 0) {
+        return Err(bad_data(format!(
+            "noisy row sets a bit past its {universe}-bit universe"
+        )));
     }
     Ok(WireRound1 {
         epsilon,
@@ -789,7 +807,7 @@ mod tests {
             rr_epsilon: 1.0,
             base_seed: 0xDEAD_BEEF,
             universe: 130,
-            words: vec![u64::MAX, 0, 0b1011],
+            words: vec![u64::MAX, 0, 0b11],
         };
         round_trip(Message::Round1Req {
             layer: Layer::Upper,
@@ -899,6 +917,46 @@ mod tests {
         let err = Message::read_from(&mut retired.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("unknown message kind"), "{err}");
+    }
+
+    /// A noisy row that is not a well-formed packed set — the wrong word
+    /// count for its universe, or a bit set past the universe — is
+    /// `InvalidData` under a valid checksum, in both row-carrying kinds.
+    #[test]
+    fn malformed_noisy_rows_are_rejected() {
+        let row = |universe: u64, words: Vec<u64>| WireRound1 {
+            epsilon: 2.0,
+            flip_probability: 0.268_941,
+            eps2: 1.0,
+            rr_epsilon: 1.0,
+            base_seed: 7,
+            universe,
+            words,
+        };
+        let cases = [
+            ("too few words", row(130, vec![u64::MAX, 0])),
+            ("too many words", row(128, vec![u64::MAX, 0, 0])),
+            ("bit past the universe", row(130, vec![u64::MAX, 0, 0b100])),
+        ];
+        for (what, bad) in cases {
+            for msg in [
+                Message::Round1Resp(bad.clone()),
+                Message::Round2Req {
+                    layer: Layer::Upper,
+                    owner: 3,
+                    round1: bad.clone(),
+                    candidates: vec![1, 2],
+                },
+            ] {
+                let mut frame = Vec::new();
+                msg.write_to(&mut frame).unwrap();
+                let err = Message::read_from(&mut frame.as_slice()).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+                assert!(err.to_string().contains("noisy row"), "{what}: {err}");
+            }
+        }
+        // The largest universe whose tail word is full decodes fine.
+        round_trip(Message::Round1Resp(row(128, vec![u64::MAX, u64::MAX])));
     }
 
     /// A header claiming the largest allowed payload, followed by EOF,

@@ -323,6 +323,20 @@ fn handle(
                 Ok(b) => b,
                 Err(e) => return err(err_code::PROTOCOL, format!("bad eps2: {e}")),
             };
+            // The row must span this worker's opposite layer: intersecting
+            // it with a bitmap over a different universe is undefined.
+            let snap = engine.snapshot();
+            let opposite = snap.engine().graph().layer_size(layer.opposite());
+            if round1.universe != opposite as u64 {
+                return err(
+                    err_code::PROTOCOL,
+                    format!(
+                        "noisy row spans {} vertices, but this worker's {:?} layer has {opposite}",
+                        round1.universe,
+                        layer.opposite()
+                    ),
+                );
+            }
             let rebuilt = BatchRound1 {
                 epsilon: round1.epsilon,
                 flip_probability: round1.flip_probability,
@@ -332,10 +346,9 @@ fn handle(
                     owner,
                     layer,
                     round1.rr_epsilon,
-                    PackedSet::from_words(round1.words, round1.universe as usize),
+                    PackedSet::from_words(round1.words, opposite),
                 ),
             };
-            let snap = engine.snapshot();
             match batch_round2(snap.engine().env(), layer, &candidates, &rebuilt) {
                 Ok(estimates) => Message::Round2Resp {
                     estimates: estimates

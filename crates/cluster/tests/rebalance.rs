@@ -585,11 +585,32 @@ fn chaos_torn_shard_file_rolls_back_then_retry_succeeds() {
 /// `CNE_FAULT_PLAN='seed=103;corrupt=4'`.
 #[test]
 fn chaos_corrupt_frame_is_detected_and_transparently_retried() {
-    let (mut coordinator, mut reference, dir, _faults) =
+    let (mut coordinator, mut reference, dir, faults) =
         chaos_setup("corrupt", "seed=103;corrupt=4");
+    // Frame 4 is a replication `Update` (kind 0x20) sent by the setup's
+    // flush, before any query.
+    assert_eq!(faults.corrupted_kind(), Some(0x20));
     assert_query_identical(&mut coordinator, &mut reference, 61);
     coordinator.rebalance_to(4).unwrap();
     assert_query_identical(&mut coordinator, &mut reference, 62);
+    drop(coordinator);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A corrupted *row-carrying* frame: frame 10 is the first query's
+/// `Round2Req` (kind 0x50) to worker 0, carrying the noisy target row.
+/// The worker rejects it on its checksum and drops the connection, the
+/// fan-out reads the other worker first, then reconnects and resends —
+/// and the answer is byte-identical to the unsharded engine's, as is
+/// the next one. Reproduce with `CNE_FAULT_PLAN='seed=107;corrupt=10'`.
+#[test]
+fn chaos_corrupt_round2_frame_is_resent_mid_query() {
+    let (mut coordinator, mut reference, dir, faults) =
+        chaos_setup("corrupt-row", "seed=107;corrupt=10");
+    assert_eq!(faults.corrupted_kind(), None, "fires during the query");
+    assert_query_identical(&mut coordinator, &mut reference, 63);
+    assert_eq!(faults.corrupted_kind(), Some(0x50));
+    assert_query_identical(&mut coordinator, &mut reference, 64);
     drop(coordinator);
     let _ = std::fs::remove_dir_all(&dir);
 }

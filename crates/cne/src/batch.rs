@@ -503,8 +503,8 @@ pub fn batch_round2(
 }
 
 /// Replays round 1's accounting — one sequential `ε₁` charge, one noisy-row
-/// upload record — exactly as `rr_round_scaffold` records it for a
-/// single-vertex round. Generation itself touches only the RNG, never the
+/// upload record — exactly as `randomized_response_round_packed` records
+/// it for a single-vertex round. Generation itself touches only the RNG, never the
 /// ledger, so charge-then-record reproduces the monolithic context state
 /// bit for bit.
 fn replay_round1_accounting(

@@ -18,7 +18,7 @@ use crate::estimate::{AlgorithmKind, ChosenParameters, EstimateReport};
 use crate::estimator::CommonNeighborEstimator;
 use crate::optimizer::optimize_double_source;
 use crate::protocol::{randomized_response_round_packed, Query, SCALAR_BYTES};
-use crate::single_source::{single_source_laplace, single_source_value_packed_env};
+use crate::single_source::{single_source_laplace, single_source_value_scratch};
 use bigraph::{BipartiteGraph, VertexId};
 use ldp::budget::{Composition, PrivacyBudget};
 use ldp::laplace::LaplaceMechanism;
@@ -159,11 +159,11 @@ fn run_double_source_rounds(
     // Both sub-estimators read the already-packed noisy rows: a dense
     // source popcounts its cached bitmap against the row, a sparse source
     // bit-probes it per neighbor (bit-identical either way — see
-    // `single_source_value_packed_env`).
+    // `single_source_value_scratch`).
     let raw_u =
-        single_source_value_packed_env(env, query.layer, query.u, &noisy_w, p, ctx.scratch());
+        single_source_value_scratch(env, query.layer, query.u, noisy_w.set(), p, ctx.scratch());
     let raw_w =
-        single_source_value_packed_env(env, query.layer, query.w, &noisy_u, p, ctx.scratch());
+        single_source_value_scratch(env, query.layer, query.w, noisy_u.set(), p, ctx.scratch());
     let f_u = laplace.perturb(raw_u, ctx.rng());
     let f_w = laplace.perturb(raw_w, ctx.rng());
     ctx.record_scalar_upload(round, "estimator(f_u)");

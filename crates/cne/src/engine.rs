@@ -78,12 +78,10 @@
 //! exact threshold tables cached on the [`ScratchArena`]).
 //!
 //! **Draw-sequence compatibility:** the packed round consumes the RNG
-//! stream draw-for-draw identically to the legacy list-producing round and
-//! produces the same bit set, so estimates are byte-identical whichever
-//! representation ran — pinned across revisions by
-//! `tests/pinned_fingerprints.rs`. Callers that genuinely need id lists
-//! (wire-format simulation, serialization) use the legacy round or
-//! [`ldp::noisy_graph::NoisyNeighborsPacked::materialize`].
+//! stream draw-for-draw identically to `ldp`'s scalar reference sampler
+//! and sets exactly the ids it returns (property-tested in `ldp`), so the
+//! pipeline can be rewritten without moving an estimate — pinned across
+//! revisions by `tests/pinned_fingerprints.rs`.
 //!
 //! # Cache lifecycle
 //!
@@ -232,10 +230,9 @@
 //! The same detect-once philosophy covers the batched scalar pipelines:
 //! per-user RNG setup seeds stream blocks through
 //! `StdRng::seed_batch_from_u64` (interleaved SplitMix64 lanes,
-//! state-identical to per-seed setup), and round-2 noise pulls its uniforms
-//! in bulk via [`ldp::laplace::sample_laplace_block`] /
-//! [`ldp::laplace::sample_laplace_each`] (draw-for-draw identical to the
-//! scalar sampler).
+//! state-identical to per-seed setup). Round-2 noise is one scalar
+//! [`ldp::LaplaceMechanism::perturb`] draw per candidate from that
+//! candidate's own stream (see [`crate::batch::batch_round2`]).
 
 use crate::batch::{user_stream_seed, BatchReport, BatchSingleSource};
 use crate::central::CentralDP;
@@ -252,7 +249,7 @@ use bigraph::delta::{AppliedBatch, UpdateBatch};
 use bigraph::snapshot::GraphSnapshot;
 use bigraph::{BipartiteGraph, Layer, VertexId};
 use ldp::budget::{BudgetAccountant, Composition, PrivacyBudget};
-use ldp::noisy_graph::{NoisyNeighbors, NoisyNeighborsPacked};
+use ldp::noisy_graph::NoisyNeighborsPacked;
 use ldp::randomized_response::PerturbScratch;
 use ldp::transcript::{Direction, Label, Transcript};
 use rand::rngs::StdRng;
@@ -512,7 +509,7 @@ impl AdjacencyStore {
     }
 
     /// Pre-builds the bitmaps of every *dense* vertex on `layer` — those the
-    /// degree-aware dispatch ([`ProtocolEnv::true_intersection_with`]) will
+    /// degree-aware dispatch ([`ProtocolEnv::true_intersection_with_scratch`]) will
     /// actually read. Sparse vertices are skipped: their queries take the
     /// probe path, so packing them would only burn memory
     /// (`⌈universe/64⌉ · 8` bytes each) that no query ever touches. On a
@@ -727,9 +724,9 @@ impl AdjacencyStore {
 /// optional warm [`AdjacencyStore`].
 ///
 /// `Copy` so it can be captured by value in parallel closures. With
-/// `store: None` every intersection falls back to the pack-per-call strategy
-/// of [`bigraph::bitset::intersection_size_degree_aware`] — the legacy
-/// uncached path, byte-identical to the cached one.
+/// `store: None` every dense intersection packs the source's adjacency
+/// into the run's scratch arena instead — byte-identical to the cached
+/// path.
 #[derive(Clone, Copy)]
 pub struct ProtocolEnv<'a> {
     /// The graph both vertex- and curator-side steps read.
@@ -759,30 +756,11 @@ impl<'a> ProtocolEnv<'a> {
     ///
     /// Sparse `v` probes `other` per neighbor id; dense `v` uses a
     /// word-parallel popcount against the cached bitmap when a store is
-    /// available (packing on the fly otherwise). All strategies count the
-    /// same set, so the result — and everything derived from it — is
-    /// identical with and without a store. The density threshold matches
+    /// available, and otherwise packs its adjacency into `scratch` (no
+    /// allocation) and popcounts that. All strategies count the same set,
+    /// so the result — and everything derived from it — is identical with
+    /// and without a store. The density threshold matches
     /// [`bigraph::bitset::intersection_size_degree_aware`] exactly.
-    #[must_use]
-    pub fn true_intersection_with(&self, layer: Layer, v: VertexId, other: &PackedSet) -> u64 {
-        let neighbors = self.graph.neighbors(layer, v);
-        if let Some(store) = self.store {
-            let words = other.universe().div_ceil(64);
-            if neighbors.len() > 2 * words {
-                // A byte-capped store may decline to cache; the fall-through
-                // packs on the fly and counts the identical set.
-                if let Some(packed) = store.try_packed(self.graph, layer, v) {
-                    return packed.intersection_size(other);
-                }
-            }
-        }
-        bigraph::bitset::intersection_size_degree_aware(neighbors, other)
-    }
-
-    /// [`ProtocolEnv::true_intersection_with`] with a reusable pack buffer:
-    /// when the dense fallback would pack `v`'s adjacency into a fresh
-    /// bitmap (no store, or the store declined), it packs into `scratch`
-    /// instead. Same strategy thresholds, same count — bit-identical.
     #[must_use]
     pub fn true_intersection_with_scratch(
         &self,
@@ -795,6 +773,8 @@ impl<'a> ProtocolEnv<'a> {
         if let Some(store) = self.store {
             let words = other.universe().div_ceil(64);
             if neighbors.len() > 2 * words {
+                // A byte-capped store may decline to cache; the fall-through
+                // packs into scratch and counts the identical set.
                 if let Some(packed) = store.try_packed(self.graph, layer, v) {
                     return packed.intersection_size(other);
                 }
@@ -1074,14 +1054,8 @@ impl<'r> RoundContext<'r> {
         self.transcript.record(round, direction, label, bytes);
     }
 
-    /// Records the curator pushing a noisy edge list down to a client.
-    pub fn record_download(&mut self, round: u32, label: impl Into<Label>, list: &NoisyNeighbors) {
-        self.transcript
-            .record(round, Direction::Download, label, list.message_bytes());
-    }
-
-    /// [`RoundContext::record_download`] for a packed-native noisy row —
-    /// identical bytes (the wire format is the id list either way).
+    /// Records the curator pushing a noisy row down to a client (4 bytes
+    /// per noisy edge: the row travels as an id list).
     pub fn record_download_packed(
         &mut self,
         round: u32,
@@ -1775,10 +1749,16 @@ mod tests {
         // A packed "other" set dense enough to exercise both branches.
         let other: Vec<u32> = (0..400).step_by(2).collect();
         let packed = PackedSet::from_sorted(&other, 400);
+        let mut scratch = ScratchArena::new();
         for v in 0..4u32 {
-            let a = env_cached.true_intersection_with(Layer::Upper, v, &packed);
-            let b = env_uncached.true_intersection_with(Layer::Upper, v, &packed);
-            assert_eq!(a, b);
+            let a =
+                env_cached.true_intersection_with_scratch(Layer::Upper, v, &packed, &mut scratch);
+            let b =
+                env_uncached.true_intersection_with_scratch(Layer::Upper, v, &packed, &mut scratch);
+            let merge =
+                bigraph::common_neighbors::intersection_size(g.neighbors(Layer::Upper, v), &other);
+            assert_eq!(a, merge);
+            assert_eq!(b, merge);
         }
     }
 
@@ -1940,7 +1920,10 @@ mod tests {
         // Declined vertices still answer correctly through the env fallback.
         let env = ProtocolEnv::cached(&g, &store);
         let other = PackedSet::from_sorted(&(0..64).collect::<Vec<u32>>(), 64);
-        assert_eq!(env.true_intersection_with(Layer::Upper, 2, &other), 30);
+        assert_eq!(
+            env.true_intersection_with_scratch(Layer::Upper, 2, &other, &mut ScratchArena::new()),
+            30
+        );
         assert!(
             store.packed(&g, Layer::Upper, 0).len() == 40,
             "packed() still works for admitted slots"

@@ -11,7 +11,7 @@ use crate::engine::{ProtocolEnv, RoundContext};
 use crate::error::Result;
 use bigraph::{common_neighbors, BipartiteGraph, Layer, VertexId};
 use ldp::budget::{Composition, PrivacyBudget};
-use ldp::noisy_graph::{NoisyNeighbors, NoisyNeighborsPacked};
+use ldp::noisy_graph::NoisyNeighborsPacked;
 use ldp::transcript::{Direction, Label};
 use serde::{Deserialize, Serialize};
 
@@ -73,19 +73,9 @@ impl Query {
     }
 }
 
-/// Outcome of a randomized-response round for a set of query vertices.
-#[derive(Debug, Clone)]
-pub struct RrRound {
-    /// The noisy neighbor lists, in the same order as the vertices passed in.
-    pub noisy: Vec<NoisyNeighbors>,
-    /// The flip probability used.
-    pub flip_probability: f64,
-}
-
-/// Outcome of a **packed-native** randomized-response round: the noisy
-/// rows live directly in bit-packed form (see
-/// [`ldp::noisy_graph::NoisyNeighborsPacked`]), ready for word-parallel
-/// intersection — no id list is ever materialized.
+/// Outcome of a randomized-response round: the noisy rows in bit-packed
+/// form (see [`ldp::noisy_graph::NoisyNeighborsPacked`]), ready for
+/// word-parallel intersection.
 #[derive(Debug, Clone)]
 pub struct RrRoundPacked {
     /// The packed noisy rows, in the same order as the vertices passed in.
@@ -94,86 +84,17 @@ pub struct RrRoundPacked {
     pub flip_probability: f64,
 }
 
-/// The shared scaffolding of both randomized-response rounds: one
-/// sequential `ε₁` charge, one noisy row per vertex produced by `generate`,
-/// one upload record per row. Keeping the charge, the labels, and the byte
-/// accounting in a single body is what makes the list and packed rounds
-/// *structurally* transcript-identical rather than identical-by-discipline.
-fn rr_round_scaffold<T>(
-    vertices: &[VertexId],
-    epsilon1: PrivacyBudget,
-    round: u32,
-    ctx: &mut RoundContext<'_>,
-    mut generate: impl FnMut(&mut RoundContext<'_>, VertexId) -> T,
-    message_bytes: impl Fn(&T) -> usize,
-) -> Result<(Vec<T>, f64)> {
-    // One sequential charge covers every reporting vertex: their neighbor
-    // lists are disjoint datasets, so the paper accounts the RR round once
-    // at ε₁ (parallel composition over the reporters — Theorem 7 / 10).
-    ctx.charge(
-        Label::Indexed("round", round, ":rr"),
-        epsilon1,
-        Composition::Sequential,
-    )?;
-    let mut noisy = Vec::with_capacity(vertices.len());
-    for (i, &v) in vertices.iter().enumerate() {
-        let row = generate(ctx, v);
-        ctx.record(
-            round,
-            Direction::Upload,
-            Label::Indexed("noisy-edges(v", i as u32, ")"),
-            message_bytes(&row),
-        );
-        noisy.push(row);
-    }
-    Ok((noisy, 1.0 / (1.0 + epsilon1.value().exp())))
-}
-
 /// Runs one randomized-response round: each vertex in `vertices` perturbs its
 /// neighbor list with budget `epsilon1` and uploads the noisy edges to the
-/// curator. The round is recorded in the context's transcript and charged to
-/// its budget once, sequentially (see `rr_round_scaffold` for the
-/// composition argument).
+/// curator. Each row is drawn directly in bit-packed words; the engine's
+/// cached true-adjacency bitmaps (when the environment carries a warm
+/// store) are OR-ed in word-wise instead of re-walking the id list.
 ///
-/// # Errors
-///
-/// Fails if the charge would exceed the run's total budget.
-pub fn randomized_response_round(
-    g: &BipartiteGraph,
-    layer: Layer,
-    vertices: &[VertexId],
-    epsilon1: PrivacyBudget,
-    round: u32,
-    ctx: &mut RoundContext<'_>,
-) -> Result<RrRound> {
-    let (noisy, flip_probability) = rr_round_scaffold(
-        vertices,
-        epsilon1,
-        round,
-        ctx,
-        |ctx, v| {
-            let (rng, scratch) = ctx.rng_and_scratch();
-            NoisyNeighbors::generate_with(g, layer, v, epsilon1, rng, scratch.perturb_scratch())
-        },
-        NoisyNeighbors::message_bytes,
-    )?;
-    Ok(RrRound {
-        noisy,
-        flip_probability,
-    })
-}
-
-/// The **packed-native** form of [`randomized_response_round`]: identical
-/// budget charge, transcript records, and RNG stream consumption (both run
-/// through `rr_round_scaffold`), but each vertex's noisy row is produced
-/// directly in bit-packed words — the engine's cached true-adjacency
-/// bitmaps (when the environment carries a warm store) are OR-ed in
-/// word-wise instead of re-walking the id list.
-///
-/// Every round-1 consumer on the estimation hot path routes through this;
-/// the list form remains for callers that need ids. For the same seed the
-/// packed rows contain exactly the bits of the list round's output, so
-/// downstream estimates are byte-identical whichever round ran.
+/// The round is recorded in the context's transcript (one upload per
+/// vertex, 4 bytes per noisy edge) and charged to its budget once,
+/// sequentially: the reporters' neighbor lists are disjoint datasets, so
+/// the paper accounts the RR round once at `ε₁` (parallel composition over
+/// the reporters — Theorem 7 / 10).
 ///
 /// # Errors
 ///
@@ -186,29 +107,35 @@ pub fn randomized_response_round_packed(
     round: u32,
     ctx: &mut RoundContext<'_>,
 ) -> Result<RrRoundPacked> {
-    let (noisy, flip_probability) = rr_round_scaffold(
-        vertices,
+    ctx.charge(
+        Label::Indexed("round", round, ":rr"),
         epsilon1,
-        round,
-        ctx,
-        |ctx, v| {
-            let true_packed = env.round1_true_bitmap(layer, v);
-            let (rng, scratch) = ctx.rng_and_scratch();
-            NoisyNeighborsPacked::generate_with(
-                env.graph,
-                layer,
-                v,
-                epsilon1,
-                rng,
-                scratch.perturb_scratch(),
-                true_packed,
-            )
-        },
-        NoisyNeighborsPacked::message_bytes,
+        Composition::Sequential,
     )?;
+    let mut noisy = Vec::with_capacity(vertices.len());
+    for (i, &v) in vertices.iter().enumerate() {
+        let true_packed = env.round1_true_bitmap(layer, v);
+        let (rng, scratch) = ctx.rng_and_scratch();
+        let row = NoisyNeighborsPacked::generate_with(
+            env.graph,
+            layer,
+            v,
+            epsilon1,
+            rng,
+            scratch.perturb_scratch(),
+            true_packed,
+        );
+        ctx.record(
+            round,
+            Direction::Upload,
+            Label::Indexed("noisy-edges(v", i as u32, ")"),
+            row.message_bytes(),
+        );
+        noisy.push(row);
+    }
     Ok(RrRoundPacked {
         noisy,
-        flip_probability,
+        flip_probability: 1.0 / (1.0 + epsilon1.value().exp()),
     })
 }
 
@@ -250,8 +177,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut ctx = RoundContext::begin_detailed(2.0, &mut rng).unwrap();
         let eps1 = PrivacyBudget::new(1.0).unwrap();
-        let round =
-            randomized_response_round(&g, Layer::Upper, &[0, 1], eps1, 1, &mut ctx).unwrap();
+        let round = randomized_response_round_packed(
+            ProtocolEnv::uncached(&g),
+            Layer::Upper,
+            &[0, 1],
+            eps1,
+            1,
+            &mut ctx,
+        )
+        .unwrap();
         assert_eq!(round.noisy.len(), 2);
         assert!((round.flip_probability - 1.0 / (1.0 + 1.0f64.exp())).abs() < 1e-12);
         let (budget, transcript) = ctx.finish();
@@ -263,42 +197,46 @@ mod tests {
         assert_eq!(transcript.rounds(), 1);
     }
 
+    /// The round draws each vertex's row exactly as the scalar reference
+    /// sampler would, in vertex order from the run's stream, and records
+    /// 4 bytes per noisy edge.
     #[test]
-    fn packed_round_matches_list_round_exactly() {
+    fn packed_round_matches_scalar_reference_exactly() {
+        use rand::RngCore;
         let g = toy();
         let eps1 = PrivacyBudget::new(1.0).unwrap();
+        let rr = ldp::RandomizedResponse::new(eps1);
         for seed in [3u64, 41] {
-            let mut rng_list = StdRng::seed_from_u64(seed);
+            let mut rng_oracle = StdRng::seed_from_u64(seed);
+            let oracle: Vec<Vec<VertexId>> = [0u32, 1]
+                .iter()
+                .map(|&v| {
+                    rr.perturb_neighbor_list_scalar_reference(
+                        g.neighbors(Layer::Upper, v),
+                        10,
+                        &mut rng_oracle,
+                    )
+                })
+                .collect();
             let mut rng_packed = StdRng::seed_from_u64(seed);
-            let mut ctx_list = RoundContext::begin_detailed(2.0, &mut rng_list).unwrap();
-            let list_round =
-                randomized_response_round(&g, Layer::Upper, &[0, 1], eps1, 1, &mut ctx_list)
-                    .unwrap();
-            let mut ctx_packed = RoundContext::begin_detailed(2.0, &mut rng_packed).unwrap();
-            let packed_round = randomized_response_round_packed(
+            let mut ctx = RoundContext::begin_detailed(2.0, &mut rng_packed).unwrap();
+            let round = randomized_response_round_packed(
                 ProtocolEnv::uncached(&g),
                 Layer::Upper,
                 &[0, 1],
                 eps1,
                 1,
-                &mut ctx_packed,
+                &mut ctx,
             )
             .unwrap();
-            assert_eq!(
-                list_round.flip_probability.to_bits(),
-                packed_round.flip_probability.to_bits()
-            );
-            for (list, packed) in list_round.noisy.iter().zip(&packed_round.noisy) {
-                assert_eq!(packed.set().to_sorted_ids(), list.neighbors());
-                assert_eq!(packed.materialize(), list.clone());
+            for (ids, row) in oracle.iter().zip(&round.noisy) {
+                assert_eq!(&row.set().to_sorted_ids(), ids);
             }
-            // Same transcript records, same budget charge, same RNG state.
-            let (budget_a, transcript_a) = ctx_list.finish();
-            let (budget_b, transcript_b) = ctx_packed.finish();
-            assert_eq!(transcript_a, transcript_b);
-            assert_eq!(budget_a.consumed().to_bits(), budget_b.consumed().to_bits());
-            use rand::RngCore;
-            assert_eq!(rng_list.next_u64(), rng_packed.next_u64());
+            let (_, transcript) = ctx.finish();
+            for (ids, message) in oracle.iter().zip(transcript.messages()) {
+                assert_eq!(message.bytes, ids.len() * EDGE_BYTES);
+            }
+            assert_eq!(rng_packed.next_u64(), rng_oracle.next_u64());
         }
     }
 
@@ -347,7 +285,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut ctx = RoundContext::begin(0.5, &mut rng).unwrap();
         let eps1 = PrivacyBudget::new(1.0).unwrap();
-        let err = randomized_response_round(&g, Layer::Upper, &[0], eps1, 1, &mut ctx);
+        let err = randomized_response_round_packed(
+            ProtocolEnv::uncached(&g),
+            Layer::Upper,
+            &[0],
+            eps1,
+            1,
+            &mut ctx,
+        );
         assert!(err.is_err());
     }
 
@@ -355,8 +300,13 @@ mod tests {
     fn download_and_scalar_records() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut ctx = RoundContext::begin(1.0, &mut rng).unwrap();
-        let list = NoisyNeighbors::from_parts(0, Layer::Upper, 10, 1.0, vec![1, 2, 3]);
-        ctx.record_download(2, "noisy-edges(w) -> u", &list);
+        let row = NoisyNeighborsPacked::from_parts(
+            0,
+            Layer::Upper,
+            1.0,
+            bigraph::PackedSet::from_sorted(&[1, 2, 3], 10),
+        );
+        ctx.record_download_packed(2, "noisy-edges(w) -> u", &row);
         ctx.record_scalar_upload(2, "estimator(f_u)");
         let (_, t) = ctx.finish();
         assert_eq!(t.total_bytes(), 3 * EDGE_BYTES + SCALAR_BYTES);

@@ -10,7 +10,6 @@ use bigraph::{BipartiteGraph, Layer, VertexId};
 use ldp::budget::{Composition, PrivacyBudget};
 use ldp::laplace::LaplaceMechanism;
 use ldp::mechanism::Sensitivity;
-use ldp::noisy_graph::NoisyNeighbors;
 use serde::{Deserialize, Serialize};
 
 /// The multiple-round single-source estimator.
@@ -74,79 +73,15 @@ fn unbias_counts(s1: u64, s2: u64, p: f64) -> f64 {
     s1 as f64 * (1.0 - p) / q - s2 as f64 * p / q
 }
 
-/// The un-noised single-source value `f_source` computed from the true
-/// neighborhood of `source` and the noisy neighbor list of the other query
-/// vertex. Shared by MultiR-SS and both MultiR-DS variants.
-#[must_use]
-pub fn single_source_value(
-    g: &BipartiteGraph,
-    layer: Layer,
-    source: VertexId,
-    other_noisy: &NoisyNeighbors,
-    flip_probability: f64,
-) -> f64 {
-    let mut s1 = 0u64;
-    let mut s2 = 0u64;
-    for &v in g.neighbors(layer, source) {
-        if other_noisy.contains(v) {
-            s1 += 1;
-        } else {
-            s2 += 1;
-        }
-    }
-    unbias_counts(s1, s2, flip_probability)
-}
-
-/// [`single_source_value`] against a pre-packed noisy list.
+/// The un-noised single-source value `f_source`: the true neighborhood of
+/// `source` against the packed noisy row of the other query vertex. Shared
+/// by MultiR-SS, both MultiR-DS variants and the batch round 2.
 ///
-/// The batch engine intersects one noisy target list against *many*
-/// candidates' true neighborhoods; packing the noisy list once
-/// ([`ldp::noisy_graph::NoisyNeighbors::packed`]) turns every membership
-/// test into one bit probe, and [`bigraph::bitset::intersection_size_degree_aware`]
-/// upgrades to a word-parallel popcount when a candidate is dense too.
-/// Produces exactly the same value as [`single_source_value`].
-#[must_use]
-pub fn single_source_value_packed(
-    g: &BipartiteGraph,
-    layer: Layer,
-    source: VertexId,
-    other_packed: &PackedSet,
-    flip_probability: f64,
-) -> f64 {
-    single_source_value_cached(
-        ProtocolEnv::uncached(g),
-        layer,
-        source,
-        other_packed,
-        flip_probability,
-    )
-}
-
-/// [`single_source_value_packed`] routed through a protocol environment.
-///
-/// When the environment carries a warm [`crate::engine::AdjacencyStore`], a
-/// dense source's packed true adjacency is fetched from the cache instead of
-/// being rebuilt per call — the win the batch engine's warm path is built on.
-/// Every dispatch branch counts the same intersection, so the value is
-/// bit-identical to [`single_source_value`] regardless of caching.
-#[must_use]
-pub fn single_source_value_cached(
-    env: ProtocolEnv<'_>,
-    layer: Layer,
-    source: VertexId,
-    other_packed: &PackedSet,
-    flip_probability: f64,
-) -> f64 {
-    let s1 = env.true_intersection_with(layer, source, other_packed);
-    let s2 = env.graph.neighbors(layer, source).len() as u64 - s1;
-    unbias_counts(s1, s2, flip_probability)
-}
-
-/// [`single_source_value_cached`] with a reusable pack buffer: when the
-/// dense dispatch has no cached bitmap to fall back on, the source's
-/// adjacency is packed into `scratch` instead of a fresh allocation — the
-/// kernel of the allocation-free batch candidate loop. Bit-identical to
-/// every other variant.
+/// A sparse source bit-probes the row per neighbor; a dense one popcounts
+/// its adjacency bitmap against the row — from the environment's
+/// [`crate::engine::AdjacencyStore`] when it carries a warm one, otherwise
+/// packed into `scratch` (no allocation). Every branch counts the same
+/// intersection, so the value is bit-identical whichever ran.
 #[must_use]
 pub fn single_source_value_scratch(
     env: ProtocolEnv<'_>,
@@ -159,30 +94,6 @@ pub fn single_source_value_scratch(
     let s1 = env.true_intersection_with_scratch(layer, source, other_packed, scratch);
     let s2 = env.graph.neighbors(layer, source).len() as u64 - s1;
     unbias_counts(s1, s2, flip_probability)
-}
-
-/// [`single_source_value`] against a packed-native noisy row — the form
-/// every engine-routed single-source consumer uses since round 1 produces
-/// rows in packed form: membership probes are single bit tests and the
-/// dense-source path popcounts the cached adjacency against the row with
-/// no packing step at all. Thin shim over
-/// [`single_source_value_scratch`]; bit-identical to every other variant.
-pub(crate) fn single_source_value_packed_env(
-    env: ProtocolEnv<'_>,
-    layer: Layer,
-    source: VertexId,
-    other_noisy: &ldp::noisy_graph::NoisyNeighborsPacked,
-    flip_probability: f64,
-    scratch: &mut ScratchArena,
-) -> f64 {
-    single_source_value_scratch(
-        env,
-        layer,
-        source,
-        other_noisy.set(),
-        flip_probability,
-        scratch,
-    )
 }
 
 /// The un-noised single-source values of one `source` against several noisy
@@ -263,7 +174,7 @@ impl EngineEstimator for MultiRSS {
         // cache when the run has one and u is dense — bit-identical either
         // way) ...
         let raw =
-            single_source_value_packed_env(env, query.layer, query.u, &noisy_w, p, ctx.scratch());
+            single_source_value_scratch(env, query.layer, query.u, noisy_w.set(), p, ctx.scratch());
         // ... and releases the estimator through the Laplace mechanism.
         ctx.charge("round2:laplace(f_u)", eps2, Composition::Sequential)?;
         let laplace = single_source_laplace(p, eps2)?;
@@ -318,16 +229,48 @@ mod tests {
         (g, Query::new(Layer::Upper, 0, 1))
     }
 
+    /// The oracle: probe the noisy ids per true neighbor of `source`.
+    fn probe_value(g: &BipartiteGraph, q: &Query, noisy_w: &[VertexId], p: f64) -> f64 {
+        let neighbors = g.neighbors(q.layer, q.u);
+        let s1 = neighbors
+            .iter()
+            .filter(|v| noisy_w.binary_search(v).is_ok())
+            .count() as u64;
+        unbias_counts(s1, neighbors.len() as u64 - s1, p)
+    }
+
+    /// Draws w's noisy ids with the scalar reference sampler.
+    fn noisy_ids(
+        g: &BipartiteGraph,
+        q: &Query,
+        eps: f64,
+        rng: &mut StdRng,
+    ) -> (Vec<VertexId>, f64) {
+        let rr = ldp::RandomizedResponse::new(ldp::budget::PrivacyBudget::new(eps).unwrap());
+        let ids = rr.perturb_neighbor_list_scalar_reference(
+            g.neighbors(q.layer, q.w),
+            g.layer_size(q.layer.opposite()),
+            rng,
+        );
+        (ids, rr.flip_probability())
+    }
+
     #[test]
     fn single_source_value_on_exact_noisy_list() {
-        // If the "noisy" list equals the true list of w, S1 = C2 and
+        // If the "noisy" row equals the true row of w, S1 = C2 and
         // S2 = deg(u) − C2; the value is then slightly biased away from C2 by
         // construction (it is only unbiased in expectation over RR noise).
         let (g, q) = sparse_graph();
         let p = 0.2;
-        let noisy_w =
-            NoisyNeighbors::from_parts(q.w, q.layer, 500, 2.0, g.neighbors(q.layer, q.w).to_vec());
-        let value = single_source_value(&g, q.layer, q.u, &noisy_w, p);
+        let noisy_w = PackedSet::from_sorted(g.neighbors(q.layer, q.w), 500);
+        let value = single_source_value_scratch(
+            ProtocolEnv::uncached(&g),
+            q.layer,
+            q.u,
+            &noisy_w,
+            p,
+            &mut ScratchArena::new(),
+        );
         let s1 = 4.0;
         let s2 = 4.0;
         let expected = s1 * 0.8 / 0.6 - s2 * 0.2 / 0.6;
@@ -335,30 +278,31 @@ mod tests {
     }
 
     #[test]
-    fn packed_value_matches_scalar_value() {
+    fn packed_value_matches_probe_oracle() {
         let (g, q) = sparse_graph();
         let mut rng = StdRng::seed_from_u64(41);
+        let mut scratch = ScratchArena::new();
         for eps in [0.5, 1.0, 4.0] {
-            let noisy = NoisyNeighbors::generate(
-                &g,
+            let (ids, p) = noisy_ids(&g, &q, eps, &mut rng);
+            let oracle = probe_value(&g, &q, &ids, p);
+            let packed = single_source_value_scratch(
+                ProtocolEnv::uncached(&g),
                 q.layer,
-                q.w,
-                ldp::budget::PrivacyBudget::new(eps).unwrap(),
-                &mut rng,
+                q.u,
+                &PackedSet::from_sorted(&ids, 500),
+                p,
+                &mut scratch,
             );
-            let p = noisy.flip_probability();
-            let scalar = single_source_value(&g, q.layer, q.u, &noisy, p);
-            let packed = single_source_value_packed(&g, q.layer, q.u, &noisy.packed(), p);
             assert_eq!(
-                scalar.to_bits(),
+                oracle.to_bits(),
                 packed.to_bits(),
-                "packed and scalar paths must agree exactly at eps {eps}"
+                "packed and probe paths must agree exactly at eps {eps}"
             );
         }
     }
 
     #[test]
-    fn cached_value_matches_scalar_value() {
+    fn cached_value_matches_probe_oracle() {
         use crate::engine::AdjacencyStore;
         // A *dense* source: degree 40 over a 100-item universe (2 packed
         // words, dense threshold 4), so the store-backed popcount branch —
@@ -369,24 +313,20 @@ mod tests {
         let g = BipartiteGraph::from_edges(2, 100, edges).unwrap();
         let q = Query::new(Layer::Upper, 0, 1);
         let store = AdjacencyStore::new(&g);
-        let env = ProtocolEnv::cached(&g, &store);
         let mut rng = StdRng::seed_from_u64(43);
+        let mut scratch = ScratchArena::new();
         for eps in [0.5, 1.0, 4.0] {
-            let noisy = NoisyNeighbors::generate(
-                &g,
-                q.layer,
-                q.w,
-                ldp::budget::PrivacyBudget::new(eps).unwrap(),
-                &mut rng,
-            );
-            let p = noisy.flip_probability();
-            let scalar = single_source_value(&g, q.layer, q.u, &noisy, p);
-            let cached = single_source_value_cached(env, q.layer, q.u, &noisy.packed(), p);
-            assert_eq!(
-                scalar.to_bits(),
-                cached.to_bits(),
-                "cached and scalar paths must agree exactly at eps {eps}"
-            );
+            let (ids, p) = noisy_ids(&g, &q, eps, &mut rng);
+            let oracle = probe_value(&g, &q, &ids, p);
+            let row = PackedSet::from_sorted(&ids, 100);
+            for env in [ProtocolEnv::cached(&g, &store), ProtocolEnv::uncached(&g)] {
+                let value = single_source_value_scratch(env, q.layer, q.u, &row, p, &mut scratch);
+                assert_eq!(
+                    oracle.to_bits(),
+                    value.to_bits(),
+                    "dense-source paths must agree exactly with the probe at eps {eps}"
+                );
+            }
         }
         assert!(
             store.cached_count(q.layer) > 0,

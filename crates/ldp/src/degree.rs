@@ -36,16 +36,9 @@ pub fn noisy_degree_vector<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<f64> {
     let mechanism = LaplaceMechanism::new(epsilon, Sensitivity::one());
-    // Bulk-sample the noise (one uniform refill per block instead of one
-    // generator call per vertex), then shift by the true degrees. Identical
-    // stream consumption and arithmetic to perturbing per vertex.
-    let n = g.layer_size(layer);
-    let mut out = vec![0.0f64; n];
-    mechanism.sample_noise_block(rng, &mut out);
-    for (v, noisy) in out.iter_mut().enumerate() {
-        *noisy += g.degree(layer, v as VertexId) as f64;
-    }
-    out
+    (0..g.layer_size(layer) as VertexId)
+        .map(|v| mechanism.perturb(g.degree(layer, v) as f64, &mut *rng))
+        .collect()
 }
 
 /// The average of a noisy degree vector, clamped to be at least `floor`.

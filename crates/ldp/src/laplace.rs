@@ -56,13 +56,6 @@ impl LaplaceMechanism {
         sample_laplace(self.scale(), rng)
     }
 
-    /// Fills `out` with Laplace noise drawn from one stream, draw-for-draw
-    /// identical to calling [`LaplaceMechanism::sample_noise`] per slot
-    /// (see [`sample_laplace_block`]).
-    pub fn sample_noise_block<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        sample_laplace_block(self.scale(), rng, out);
-    }
-
     /// Releases `value + Lap(Δf/ε)`.
     pub fn perturb<R: Rng + ?Sized>(&self, value: f64, rng: &mut R) -> f64 {
         value + self.sample_noise(rng)
@@ -96,42 +89,6 @@ pub fn sample_laplace<R: Rng + ?Sized>(scale: f64, rng: &mut R) -> f64 {
     }
 }
 
-/// Number of uniforms pulled per bulk refill in [`sample_laplace_block`].
-const LAPLACE_BLOCK: usize = 64;
-
-/// Fills `out` with samples from the zero-mean Laplace distribution with
-/// scale `b`, **draw-for-draw identical** to calling [`sample_laplace`]
-/// once per slot on the same stream.
-///
-/// Uniforms are pulled in bulk through [`rand::RngCore::fill_bytes`] — one
-/// refill per up-to-64 outputs (`LAPLACE_BLOCK`) instead of one generator call
-/// per output — and the inverse-CDF transform then runs over the buffered
-/// block. Each refill requests `min(outputs remaining, block)` words, which
-/// never exceeds what the scalar loop would consume (it draws at least one
-/// word per output), and a rejected word (the `u = ±½` endpoint guard, a
-/// once-per-2⁵³-draws event) consumes its buffer slot exactly like the
-/// scalar resample loop consumes a generator call — so the stream position
-/// after the block matches the scalar loop bit-for-bit.
-pub fn sample_laplace_block<R: Rng + ?Sized>(scale: f64, rng: &mut R, out: &mut [f64]) {
-    let mut bytes = [0u8; 8 * LAPLACE_BLOCK];
-    let mut filled = 0usize;
-    while filled < out.len() {
-        let want = (out.len() - filled).min(LAPLACE_BLOCK);
-        let raw = &mut bytes[..8 * want];
-        rng.fill_bytes(raw);
-        for chunk in raw.chunks_exact(8) {
-            // Identical to `rng.gen::<f64>()`: 53 mantissa bits in [0, 1).
-            let bits = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64) - 0.5;
-            let magnitude = 1.0 - 2.0 * u.abs();
-            if magnitude > 0.0 {
-                out[filled] = -scale * u.signum() * magnitude.ln();
-                filled += 1;
-            }
-        }
-    }
-}
-
 /// Draws **one** Laplace sample with scale `b` from each stream in `rngs`,
 /// writing into the matching slot of `out`.
 ///
@@ -156,7 +113,7 @@ pub fn sample_laplace_each<R: Rng>(scale: f64, rngs: &mut [R], out: &mut [f64]) 
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::SeedableRng;
 
     fn mech(eps: f64, sens: f64) -> LaplaceMechanism {
         LaplaceMechanism::new(
@@ -248,41 +205,6 @@ mod tests {
         let json = serde_json::to_string(&m).unwrap();
         let back: LaplaceMechanism = serde_json::from_str(&json).unwrap();
         assert_eq!(m, back);
-    }
-
-    #[test]
-    fn block_sampler_is_draw_for_draw_identical_to_scalar() {
-        // Lengths straddling the refill block size (64), including 0.
-        for n in [0usize, 1, 2, 63, 64, 65, 100, 128, 1000] {
-            for seed in [0u64, 7, 0xFEED_FACE] {
-                let mut scalar_rng = StdRng::seed_from_u64(seed);
-                let scalar: Vec<u64> = (0..n)
-                    .map(|_| sample_laplace(1.7, &mut scalar_rng).to_bits())
-                    .collect();
-                let mut block_rng = StdRng::seed_from_u64(seed);
-                let mut block = vec![0.0f64; n];
-                sample_laplace_block(1.7, &mut block_rng, &mut block);
-                let block_bits: Vec<u64> = block.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(scalar, block_bits, "n={n} seed={seed}");
-                // The stream positions must match too: the next draw from
-                // either generator is the same.
-                assert_eq!(scalar_rng.next_u64(), block_rng.next_u64());
-            }
-        }
-    }
-
-    #[test]
-    fn mechanism_block_matches_scalar_noise() {
-        let m = mech(0.8, 3.0);
-        let mut a = StdRng::seed_from_u64(31);
-        let mut b = StdRng::seed_from_u64(31);
-        let scalar: Vec<u64> = (0..200).map(|_| m.sample_noise(&mut a).to_bits()).collect();
-        let mut block = vec![0.0f64; 200];
-        m.sample_noise_block(&mut b, &mut block);
-        assert_eq!(
-            scalar,
-            block.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]

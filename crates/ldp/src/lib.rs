@@ -8,9 +8,9 @@
 //! * [`randomized_response`] — Warner's randomized response over bits and
 //!   neighbor lists (the paper's noisy-graph construction),
 //! * [`laplace`] — the Laplace mechanism with explicit global sensitivity,
-//! * [`noisy_graph`] — the per-query-vertex noisy neighbor sets produced by
-//!   randomized response, with membership queries, bit-packed views, and
-//!   size accounting,
+//! * [`noisy_graph`] — the per-query-vertex noisy neighbor rows produced by
+//!   randomized response, in bit-packed form, with membership queries,
+//!   intersection counts, and size accounting,
 //! * [`transcript`] — byte-level communication-cost accounting for the
 //!   messages exchanged between clients (vertices) and the data curator,
 //!   used by the paper's Fig. 10 experiment.
@@ -30,7 +30,7 @@
 //! Every aggregate accessor returns identical values in either mode
 //! (property-tested against random protocol runs in the `cne` crate).
 //!
-//! # Performance: the packed-native perturbation pipeline
+//! # Performance: the packed perturbation pipeline
 //!
 //! The hot path of every estimator is randomized-response perturbation of
 //! a neighbor row. It is implemented with **geometric skip sampling**:
@@ -38,9 +38,7 @@
 //! and RNG draws for an opposite layer of size `n`), the sampler jumps
 //! straight between flips with geometric-gap draws — expected `O(d + p·n)`
 //! work and `O(p·(n + d) + 2)` draws for a vertex of degree `d`, while
-//! producing an output *identically distributed* to the per-bit scan
-//! (χ²-property-tested against the retained dense reference,
-//! [`RandomizedResponse::perturb_neighbor_list_dense`]).
+//! producing an output *identically distributed* to the per-bit scan.
 //!
 //! The gaps are evaluated through a **batched draw pipeline**
 //! (uniform draws pulled in guaranteed-consumed blocks, gaps resolved by
@@ -50,22 +48,21 @@
 //! [`RandomizedResponse::perturb_neighbor_list_packed`] /
 //! [`noisy_graph::NoisyNeighborsPacked`]: kept true neighbors OR in
 //! word-wise from a cached bitmap, flipped zeros set bits as their ranks
-//! are translated — no sorted id list, no merge pass.
+//! are translated — no sorted id list, no merge pass. The packed row is the
+//! only form a round-1 report takes: every consumer intersects it
+//! (word-parallel `AND` + popcount, or single-bit membership probes).
 //!
-//! **Draw-sequence compatibility contract:** every pipeline variant —
-//! batched or scalar, list-producing or packed-native, with or without the
-//! threshold tables — consumes the RNG stream *identically, draw for
-//! draw*, and produces the same bit set. The retained scalar sampler
-//! ([`RandomizedResponse::perturb_neighbor_list_scalar_reference`]) is the
-//! ground truth this is property-tested against; the contract is what lets
-//! engines swap representations without moving a single downstream
-//! estimate. Callers that genuinely need ids (serialization, wire-format
-//! simulation) use the list APIs or
-//! [`noisy_graph::NoisyNeighborsPacked::materialize`]; everything on the
-//! curator's intersection path should stay in packed form — intersections
-//! are word-parallel `AND` + popcount loops and membership probes are
-//! single bit tests. See `BENCH_micro.json` at the workspace root for the
-//! recorded baselines.
+//! **Draw-sequence compatibility contract:** the pipeline — with or
+//! without the threshold tables, with or without a cached true bitmap —
+//! consumes the RNG stream *identically, draw for draw*, to the scalar
+//! skip sampler
+//! ([`RandomizedResponse::perturb_neighbor_list_scalar_reference`]) and
+//! sets exactly the ids it returns. That sampler and the per-bit scan
+//! ([`RandomizedResponse::perturb_neighbor_list_dense`], the χ² oracle for
+//! the output law) are kept only as test oracles. The contract is what lets
+//! the pipeline be rewritten without moving a single downstream estimate.
+//! See `BENCH_micro.json` at the workspace root for the recorded
+//! baselines.
 //!
 //! # Determinism contract
 //!
@@ -108,6 +105,6 @@ pub use budget::PrivacyBudget;
 pub use error::{LdpError, Result};
 pub use laplace::LaplaceMechanism;
 pub use mechanism::Sensitivity;
-pub use noisy_graph::{NoisyNeighbors, NoisyNeighborsPacked};
+pub use noisy_graph::NoisyNeighborsPacked;
 pub use randomized_response::{PerturbScratch, RandomizedResponse};
 pub use transcript::{Direction, Label, Transcript, TranscriptStats};

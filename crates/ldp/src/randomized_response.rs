@@ -12,10 +12,12 @@
 //!
 //! # The perturbation pipeline
 //!
-//! Noisy lists are produced by **geometric skip sampling** (gaps between
-//! successive flips drawn from the geometric distribution — expected
-//! `O(d + p·n)` work instead of the dense `O(n)` scan), evaluated through a
-//! **batched draw pipeline**:
+//! A noisy row has one form: bit-packed `u64` words, produced by
+//! [`RandomizedResponse::perturb_neighbor_list_packed`]. Every consumer
+//! intersects the row, so it never exists as an id list. The row is drawn
+//! by **geometric skip sampling** (gaps between successive flips drawn
+//! from the geometric distribution — expected `O(d + p·n)` work instead of
+//! the dense `O(n)` scan), evaluated through a **batched draw pipeline**:
 //!
 //! * uniform draws are pulled from the RNG in blocks sized so that the
 //!   scalar sampler would certainly have consumed every draw in the block
@@ -29,20 +31,17 @@
 //!   fall back to a partition-point search); only the rare tail
 //!   (`(1−p)^288` of draws) pays the `ln` formula. Every threshold sits
 //!   exactly on a step boundary of the reference formula, so resolved gaps
-//!   are **bit-identical** to `⌊ln u / ln(1−p)⌋` — property-tested against
-//!   the retained scalar reference sampler
-//!   ([`RandomizedResponse::perturb_neighbor_list_scalar_reference`]).
+//!   are **bit-identical** to `⌊ln u / ln(1−p)⌋`;
+//! * true neighbors are OR-ed in word-wise from a cached bitmap (or set
+//!   bit-wise from the id list), dropped bits are cleared, and flipped
+//!   zeros are set as their ranks are translated — no id list, no merge
+//!   pass, no allocation beyond the returned bitmap.
 //!
-//! Consumers that intersect noisy lists (all of `cne`'s hot paths) should
-//! use [`RandomizedResponse::perturb_neighbor_list_packed`], which writes
-//! the noisy row **directly into packed `u64` words** — true neighbors are
-//! OR-ed in word-wise from a cached bitmap (or set bit-wise from the id
-//! list), dropped bits are cleared, and flipped zeros are set as their
-//! ranks are translated — no sorted id list, no merge pass, no intermediate
-//! allocation beyond the returned bitmap. The list-producing APIs remain
-//! for callers that genuinely need ids and for the transcript-faithful
-//! client simulation; both forms draw from the RNG identically and contain
-//! exactly the same bit set.
+//! Two id-list samplers remain as **test oracles** only:
+//! [`RandomizedResponse::perturb_neighbor_list_scalar_reference`] (the
+//! formula-only skip sampler: same bits, same RNG position afterwards) and
+//! [`RandomizedResponse::perturb_neighbor_list_dense`] (one Bernoulli draw
+//! per slot: same distribution).
 
 use crate::budget::PrivacyBudget;
 use crate::mechanism::Mechanism;
@@ -98,132 +97,23 @@ impl RandomizedResponse {
         }
     }
 
-    /// Applies RR to a full neighbor list of a vertex whose opposite layer has
-    /// `opposite_size` vertices, returning the *sorted* list of noisy
-    /// neighbors (the "1" entries of the perturbed row).
+    /// Applies RR to a neighbor list, producing the noisy row in bit-packed
+    /// form — the one way a round-1 row is drawn.
     ///
     /// `true_neighbors` must be sorted ascending (as produced by
-    /// [`bigraph::BipartiteGraph::neighbors`]).
+    /// [`bigraph::BipartiteGraph::neighbors`]). `true_packed`, when
+    /// provided, must be the packed form of `true_neighbors` over
+    /// `0..opposite_size` (e.g. the estimation engine's cached adjacency
+    /// bitmap): the kept true neighbors are then OR-ed in **word-wise**
+    /// instead of bit-by-bit. With or without it, the returned set holds
+    /// exactly the ids [`Self::perturb_neighbor_list_scalar_reference`]
+    /// returns, and the RNG stream is consumed identically draw-for-draw
+    /// (property-tested).
     ///
-    /// Implemented by **geometric skip sampling** through the batched draw
-    /// pipeline (see the [module docs](self)): instead of one Bernoulli(`p`)
-    /// per candidate slot (the dense `O(opposite_size)` scan kept as
-    /// [`Self::perturb_neighbor_list_dense`]), the sampler draws the gaps
-    /// between successive flips directly from the geometric distribution —
-    /// the output distribution is *identical* to the per-bit scan, at
-    /// expected cost `O(d + p·n)` work and `O(p·n + p·d + 2)` RNG draws for
-    /// degree `d` and opposite size `n`.
-    ///
-    /// Uses a thread-local [`PerturbScratch`] for staging buffers and the
-    /// gap-table cache; callers holding their own scratch (the `cne`
-    /// engines) should use [`Self::perturb_neighbor_list_with`].
-    pub fn perturb_neighbor_list<R: Rng + ?Sized>(
-        &self,
-        true_neighbors: &[VertexId],
-        opposite_size: usize,
-        rng: &mut R,
-    ) -> Vec<VertexId> {
-        THREAD_SCRATCH.with(|cell| {
-            self.perturb_neighbor_list_with(
-                true_neighbors,
-                opposite_size,
-                rng,
-                &mut cell.borrow_mut(),
-            )
-        })
-    }
-
-    /// [`Self::perturb_neighbor_list`] with a caller-provided
-    /// [`PerturbScratch`] for the staging buffers and gap-table cache.
-    ///
-    /// The output — and the RNG stream consumed — is identical to
-    /// [`Self::perturb_neighbor_list`]; only the intermediate allocations
-    /// are replaced by scratch reuse, so a caller perturbing many lists (a
-    /// batch round, the `cne` engines) pays one allocation per call (the
-    /// returned list).
-    pub fn perturb_neighbor_list_with<R: Rng + ?Sized>(
-        &self,
-        true_neighbors: &[VertexId],
-        opposite_size: usize,
-        rng: &mut R,
-        scratch: &mut PerturbScratch,
-    ) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        self.perturb_neighbor_list_into(true_neighbors, opposite_size, rng, scratch, &mut out);
-        out
-    }
-
-    /// [`Self::perturb_neighbor_list_with`] writing the noisy list into a
-    /// caller-provided buffer (cleared on entry) instead of allocating —
-    /// the fully allocation-free form of the legacy list-producing path.
-    pub fn perturb_neighbor_list_into<R: Rng + ?Sized>(
-        &self,
-        true_neighbors: &[VertexId],
-        opposite_size: usize,
-        rng: &mut R,
-        scratch: &mut PerturbScratch,
-        out: &mut Vec<VertexId>,
-    ) {
-        debug_assert!(true_neighbors.windows(2).all(|w| w[0] < w[1]));
-        out.clear();
-        let p = self.flip_probability;
-        // ε large enough that p underflowed to exactly 0 (ε ≳ 710): no bit
-        // can flip, so the noisy list is the true list. Guarding here keeps
-        // the gap distribution's `ln(1 − p) = 0` division out of reach.
-        if p <= 0.0 {
-            out.extend_from_slice(true_neighbors);
-            return;
-        }
-        let d = true_neighbors.len();
-        let zeros = opposite_size.saturating_sub(d);
-        let sampler = GapSampler::prepare(p, opposite_size, scratch);
-
-        // 1 → 0 flips: skip-sample positions *within the true list* that get
-        // dropped; every position not dropped is kept. The drop positions
-        // are staged in the scratch event buffer, and the survivors are
-        // copied out segment-wise.
-        let (events, kept) = scratch.events_and_kept();
-        sampler.sample_events(d, rng, events);
-        kept.clear();
-        kept.reserve(d);
-        let mut prev = 0usize;
-        for &drop in events.iter() {
-            kept.extend_from_slice(&true_neighbors[prev..drop as usize]);
-            prev = drop as usize + 1;
-        }
-        kept.extend_from_slice(&true_neighbors[prev..]);
-
-        // 0 → 1 flips: skip-sample ranks within the `zeros` non-neighbor
-        // slots, then translate each rank to a vertex id by sliding past the
-        // true neighbors (both sequences ascend, so one in-place merge pass
-        // suffices — ranks only grow under translation, and they are
-        // processed in order, so overwriting is safe).
-        events.clear();
-        sampler.sample_events(zeros, rng, events);
-        let mut ti = 0usize;
-        for slot in events.iter_mut() {
-            let mut id = *slot as usize + ti;
-            while ti < d && (true_neighbors[ti] as usize) <= id {
-                ti += 1;
-                id += 1;
-            }
-            *slot = id as VertexId;
-        }
-
-        merge_sorted_disjoint_into(kept, events, out);
-    }
-
-    /// Applies RR to a neighbor list, producing the noisy row **directly in
-    /// bit-packed form** — the hot-path entry the `cne` round-1 consumers
-    /// use, skipping the sorted-list detour entirely.
-    ///
-    /// `true_packed`, when provided, must be the packed form of
-    /// `true_neighbors` over `0..opposite_size` (e.g. the estimation
-    /// engine's cached adjacency bitmap): the kept true neighbors are then
-    /// OR-ed in **word-wise** instead of bit-by-bit. With or without it,
-    /// the returned set contains exactly the same bits as packing
-    /// [`Self::perturb_neighbor_list`]'s output, and the RNG stream is
-    /// consumed identically draw-for-draw (property-tested).
+    /// The output is distributed exactly as one Bernoulli(`p`) flip per
+    /// slot (the dense scan kept as [`Self::perturb_neighbor_list_dense`]),
+    /// at expected cost `O(d + p·n)` work and `O(p·n + p·d + 2)` RNG draws
+    /// for degree `d` and opposite size `n`.
     ///
     /// # Panics
     ///
@@ -244,7 +134,10 @@ impl RandomizedResponse {
         }
         let p = self.flip_probability;
         if p <= 0.0 {
-            // No bit can flip: the noisy row is the true row.
+            // ε large enough that p underflowed to exactly 0 (ε ≳ 710): no
+            // bit can flip, so the noisy row is the true row. Guarding here
+            // keeps the gap distribution's `ln(1 − p) = 0` division out of
+            // reach.
             return match true_packed {
                 Some(packed) => packed.clone(),
                 None => PackedSet::from_sorted(true_neighbors, opposite_size),
@@ -254,7 +147,7 @@ impl RandomizedResponse {
         let zeros = opposite_size.saturating_sub(d);
         let sampler = GapSampler::prepare(p, opposite_size, scratch);
 
-        // 1 → 0 flips first (same draw order as the list path): stage the
+        // 1 → 0 flips first (same draw order as the scalar reference): stage the
         // drop positions, then materialize the kept true bits — word-wise
         // from the cached bitmap when one is available — and clear the
         // dropped ones.
@@ -295,10 +188,11 @@ impl RandomizedResponse {
         PackedSet::from_words(words, opposite_size)
     }
 
-    /// The straight-line scalar skip sampler — the PR-3 hot path, retained
-    /// verbatim (formula-only, no tables, no batching) as the ground truth
-    /// the batched draw pipeline is property-tested against: identical
-    /// output list *and* identical RNG stream consumption.
+    /// The straight-line scalar skip sampler (formula-only, no tables, no
+    /// batching), kept as the test oracle
+    /// [`Self::perturb_neighbor_list_packed`] is property-tested against:
+    /// identical ids *and* identical RNG stream consumption. Returns the
+    /// sorted noisy ids.
     pub fn perturb_neighbor_list_scalar_reference<R: Rng + ?Sized>(
         &self,
         true_neighbors: &[VertexId],
@@ -353,17 +247,15 @@ impl RandomizedResponse {
                 *slot = id as VertexId;
             }
         }
-        let mut out = Vec::new();
-        merge_sorted_disjoint_into(&kept, &flipped, &mut out);
-        out
+        // Kept and flipped ids are disjoint: their sorted union is the row.
+        kept.extend_from_slice(&flipped);
+        kept.sort_unstable();
+        kept
     }
 
-    /// The reference per-bit implementation of [`Self::perturb_neighbor_list`]:
-    /// one Bernoulli draw per candidate slot, `O(opposite_size)` work.
-    ///
-    /// Kept as the ground truth the skip sampler is property-tested against,
-    /// and as the faithful simulation of a client that materialises its full
-    /// `n`-bit row.
+    /// The per-bit reference: one Bernoulli draw per candidate slot,
+    /// `O(opposite_size)` work, returning the sorted noisy ids. Kept as the
+    /// test oracle whose output law the skip sampler is χ²-tested against.
     pub fn perturb_neighbor_list_dense<R: Rng + ?Sized>(
         &self,
         true_neighbors: &[VertexId],
@@ -661,11 +553,6 @@ impl GapTables {
 }
 
 thread_local! {
-    /// Per-thread [`PerturbScratch`] backing the scratchless entry points
-    /// ([`RandomizedResponse::perturb_neighbor_list`]): buffers and the
-    /// gap-table cache stay warm across calls on the same thread.
-    static THREAD_SCRATCH: RefCell<PerturbScratch> = RefCell::new(PerturbScratch::new());
-
     /// Thread-wide one-entry table cache keyed by the denominator bits.
     /// Tables cost ~300 seeded threshold searches to build; rounds perturb
     /// many lists at the same ε (and engines many rounds), so the cache
@@ -673,21 +560,17 @@ thread_local! {
     static GAP_TABLES_CACHE: RefCell<Option<(u64, Arc<GapTables>)>> = const { RefCell::new(None) };
 }
 
-/// Reusable working state for the perturbation pipeline: staging buffers
-/// for skip-sampled event positions and kept survivors, plus a one-entry
-/// cache of the exact gap-resolution tables keyed by the denominator bits.
+/// Reusable working state for the perturbation pipeline: a staging buffer
+/// for skip-sampled event positions, plus a one-entry cache of the exact
+/// gap-resolution tables keyed by the denominator bits.
 ///
-/// One lives per `cne` scratch arena (so engine runs and per-worker shards
-/// keep tables and buffers warm without touching thread-local state) and
-/// one per thread for the scratchless entry points. Holds only capacity
-/// and derived constants — never protocol state — so reuse cannot change
-/// any output.
+/// One lives per `cne` scratch arena, so engine runs and per-worker shards
+/// keep tables and buffers warm. Holds only capacity and derived
+/// constants — never protocol state — so reuse cannot change any output.
 #[derive(Debug, Default)]
 pub struct PerturbScratch {
-    /// Skip-sampled event positions (drop indices, then flip ranks/ids).
+    /// Skip-sampled event positions (drop indices, then flip ranks).
     events: Vec<VertexId>,
-    /// Kept survivors of the 1 → 0 pass (list-producing path only).
-    kept: Vec<VertexId>,
     /// Cached gap tables for the last denominator used.
     tables: Option<(u64, Arc<GapTables>)>,
 }
@@ -702,11 +585,6 @@ impl PerturbScratch {
     fn events_mut(&mut self) -> &mut Vec<VertexId> {
         self.events.clear();
         &mut self.events
-    }
-
-    fn events_and_kept(&mut self) -> (&mut Vec<VertexId>, &mut Vec<VertexId>) {
-        self.events.clear();
-        (&mut self.events, &mut self.kept)
     }
 
     /// The gap tables for `denom`, from this scratch's cache, the
@@ -947,34 +825,6 @@ fn translate_ranks_to_bits(ranks: &[VertexId], true_neighbors: &[VertexId], word
     }
 }
 
-/// Merges two sorted, mutually disjoint id lists into `out` (cleared on
-/// entry) — the allocation-free form the legacy list-producing callers
-/// stage through their scratch arenas.
-pub fn merge_sorted_disjoint_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    out.clear();
-    out.reserve(a.len() + b.len());
-    if a.is_empty() {
-        out.extend_from_slice(b);
-        return;
-    }
-    if b.is_empty() {
-        out.extend_from_slice(a);
-        return;
-    }
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if a[i] < b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-}
-
 impl Mechanism<bool> for RandomizedResponse {
     type Output = bool;
 
@@ -1119,19 +969,24 @@ mod tests {
         }
     }
 
-    /// The batched pipeline must equal the retained scalar reference in
-    /// both output and RNG stream consumption, across table and no-table
-    /// regimes and the zero-size edge cases.
+    /// The packed pipeline must equal the scalar reference in both output
+    /// and RNG stream consumption — with and without a pre-packed true
+    /// bitmap — across table and no-table regimes and the zero-size edge
+    /// cases.
     #[test]
-    fn batched_pipeline_matches_scalar_reference_exactly() {
+    fn packed_pipeline_matches_scalar_reference_exactly() {
         let mut scratch = PerturbScratch::new();
-        for eps in [0.3f64, 1.0, 2.0, 4.0, 7.0, 25.0] {
+        for eps in [0.3f64, 0.5, 1.0, 2.0, 4.0, 7.0, 25.0] {
             let r = rr(eps);
             for (d, n) in [
                 (0usize, 0usize),
+                (0, 64),
                 (0, 100),
+                (5, 200),
                 (10, 10),
+                (25, 4_096),
                 (10, 5_000),
+                (10, 50_000),
                 (40, 50_000),
             ] {
                 let truth: Vec<VertexId> = (0..d as u32)
@@ -1139,47 +994,13 @@ mod tests {
                     .collect();
                 let truth: Vec<VertexId> =
                     truth.into_iter().filter(|&v| (v as usize) < n).collect();
-                for seed in 0..5u64 {
-                    let mut rng_a = StdRng::seed_from_u64(seed);
-                    let mut rng_b = StdRng::seed_from_u64(seed);
-                    let batched = r.perturb_neighbor_list_with(&truth, n, &mut rng_a, &mut scratch);
-                    let scalar = r.perturb_neighbor_list_scalar_reference(&truth, n, &mut rng_b);
-                    assert_eq!(
-                        batched,
-                        scalar,
-                        "eps {eps} d {} n {n} seed {seed}",
-                        truth.len()
-                    );
-                    // Post-state equality proves draw-for-draw consumption.
-                    assert_eq!(
-                        rng_a.next_u64(),
-                        rng_b.next_u64(),
-                        "stream positions diverged: eps {eps} d {} n {n} seed {seed}",
-                        truth.len()
-                    );
-                }
-            }
-        }
-    }
-
-    /// Packed-native output contains exactly the bits of the list output,
-    /// with identical RNG consumption — with and without a pre-packed true
-    /// bitmap.
-    #[test]
-    fn packed_output_matches_list_output() {
-        let mut scratch = PerturbScratch::new();
-        for eps in [0.5f64, 1.0, 4.0, 25.0] {
-            let r = rr(eps);
-            for (d, n) in [(0usize, 64usize), (5, 200), (25, 4_096), (10, 50_000)] {
-                let truth: Vec<VertexId> = (0..d as u32)
-                    .map(|i| i * (n as u32 / d.max(1) as u32))
-                    .collect();
-                let packed_truth = PackedSet::from_sorted(&truth, n);
-                for seed in [3u64, 17, 99] {
-                    let mut rng_list = StdRng::seed_from_u64(seed);
+                let true_packed = PackedSet::from_sorted(&truth, n);
+                for seed in [0u64, 1, 2, 3, 4, 17, 99] {
+                    let mut rng_scalar = StdRng::seed_from_u64(seed);
                     let mut rng_packed = StdRng::seed_from_u64(seed);
                     let mut rng_cached = StdRng::seed_from_u64(seed);
-                    let list = r.perturb_neighbor_list(&truth, n, &mut rng_list);
+                    let scalar =
+                        r.perturb_neighbor_list_scalar_reference(&truth, n, &mut rng_scalar);
                     let packed = r.perturb_neighbor_list_packed(
                         &truth,
                         None,
@@ -1189,22 +1010,24 @@ mod tests {
                     );
                     let cached = r.perturb_neighbor_list_packed(
                         &truth,
-                        Some(&packed_truth),
+                        Some(&true_packed),
                         n,
                         &mut rng_cached,
                         &mut scratch,
                     );
-                    assert_eq!(packed.to_sorted_ids(), list, "eps {eps} d {d} n {n}");
+                    let case = format!("eps {eps} d {} n {n} seed {seed}", truth.len());
+                    assert_eq!(packed.universe(), n, "{case}");
+                    assert_eq!(packed.to_sorted_ids(), scalar, "{case}");
+                    assert_eq!(packed.len(), scalar.len(), "{case}");
+                    assert_eq!(cached, packed, "cached-bitmap path differs: {case}");
+                    // Post-state equality proves draw-for-draw consumption.
+                    let next = rng_scalar.next_u64();
+                    assert_eq!(rng_packed.next_u64(), next, "stream diverged: {case}");
                     assert_eq!(
-                        packed, cached,
-                        "cached-bitmap path differs: eps {eps} d {d} n {n}"
+                        rng_cached.next_u64(),
+                        next,
+                        "cached stream diverged: {case}"
                     );
-                    assert_eq!(packed.len(), list.len());
-                    assert_eq!(rng_list.next_u64(), rng_packed.next_u64());
-                    assert_eq!(rng_list.next_u64(), {
-                        let _ = rng_cached.next_u64();
-                        rng_cached.next_u64()
-                    });
                 }
             }
         }
@@ -1252,41 +1075,30 @@ mod tests {
     }
 
     #[test]
-    fn perturb_into_reuses_buffer_and_matches() {
+    fn packed_row_stays_inside_its_universe() {
         let r = rr(1.0);
         let mut scratch = PerturbScratch::new();
-        let truth: Vec<VertexId> = vec![2, 5, 9];
-        let mut out = Vec::new();
-        let mut rng_a = StdRng::seed_from_u64(7);
-        let mut rng_b = StdRng::seed_from_u64(7);
-        r.perturb_neighbor_list_into(&truth, 50, &mut rng_a, &mut scratch, &mut out);
-        let fresh = r.perturb_neighbor_list(&truth, 50, &mut rng_b);
-        assert_eq!(out, fresh);
-        // Second call fully overwrites the buffer.
-        let mut rng_c = StdRng::seed_from_u64(8);
-        r.perturb_neighbor_list_into(&truth, 50, &mut rng_c, &mut scratch, &mut out);
-        assert!(out.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn perturb_neighbor_list_is_sorted_and_in_range() {
-        let r = rr(1.0);
         let mut rng = StdRng::seed_from_u64(7);
         let truth: Vec<VertexId> = vec![2, 5, 9];
-        let noisy = r.perturb_neighbor_list(&truth, 50, &mut rng);
-        assert!(noisy.windows(2).all(|w| w[0] < w[1]));
-        assert!(noisy.iter().all(|&v| (v as usize) < 50));
+        let noisy = r.perturb_neighbor_list_packed(&truth, None, 50, &mut rng, &mut scratch);
+        assert_eq!(noisy.universe(), 50);
+        assert_eq!(noisy.as_words().len(), 1);
+        assert!(noisy.to_sorted_ids().iter().all(|&v| (v as usize) < 50));
     }
 
     #[test]
-    fn perturb_neighbor_list_density_matches_expectation() {
+    fn packed_row_density_matches_expectation() {
         let r = rr(2.0);
+        let mut scratch = PerturbScratch::new();
         let mut rng = StdRng::seed_from_u64(11);
         let truth: Vec<VertexId> = (0..20).collect();
         let n = 1000usize;
         let runs = 300;
         let total: usize = (0..runs)
-            .map(|_| r.perturb_neighbor_list(&truth, n, &mut rng).len())
+            .map(|_| {
+                r.perturb_neighbor_list_packed(&truth, None, n, &mut rng, &mut scratch)
+                    .len()
+            })
             .sum();
         let avg = total as f64 / runs as f64;
         let expected = r.expected_noisy_edges(truth.len(), n);
@@ -1298,26 +1110,14 @@ mod tests {
 
     #[test]
     fn high_epsilon_preserves_list_exactly_in_expectation() {
-        // With a huge budget the flip probability is ~0, so the noisy list
-        // should equal the true list almost always.
+        // With a huge budget the flip probability is ~0, so the noisy row
+        // should equal the true row almost always.
         let r = rr(20.0);
+        let mut scratch = PerturbScratch::new();
         let mut rng = StdRng::seed_from_u64(3);
         let truth: Vec<VertexId> = vec![1, 4, 8];
-        let noisy = r.perturb_neighbor_list(&truth, 100, &mut rng);
-        assert_eq!(noisy, truth);
-    }
-
-    #[test]
-    fn merge_into_handles_all_shapes() {
-        let mut out = Vec::new();
-        merge_sorted_disjoint_into(&[], &[], &mut out);
-        assert!(out.is_empty());
-        merge_sorted_disjoint_into(&[1, 3], &[], &mut out);
-        assert_eq!(out, vec![1, 3]);
-        merge_sorted_disjoint_into(&[], &[2, 4], &mut out);
-        assert_eq!(out, vec![2, 4]);
-        merge_sorted_disjoint_into(&[1, 5, 9], &[2, 6, 10, 11], &mut out);
-        assert_eq!(out, vec![1, 2, 5, 6, 9, 10, 11]);
+        let noisy = r.perturb_neighbor_list_packed(&truth, None, 100, &mut rng, &mut scratch);
+        assert_eq!(noisy.to_sorted_ids(), truth);
     }
 
     #[test]

@@ -41,9 +41,9 @@ proptest! {
         prop_assert!(rr.edge_estimate_variance() > 0.0);
     }
 
-    /// Perturbed neighbor lists are sorted, deduplicated, and within range.
+    /// Perturbed rows span exactly the opposite layer and hold no id past it.
     #[test]
-    fn perturbed_lists_are_well_formed(
+    fn perturbed_rows_are_well_formed(
         eps in arb_epsilon(),
         seed in any::<u64>(),
         degree in 0usize..30,
@@ -53,9 +53,11 @@ proptest! {
         let truth: Vec<u32> = (0..degree as u32).collect();
         let rr = RandomizedResponse::new(PrivacyBudget::new(eps).unwrap());
         let mut rng = StdRng::seed_from_u64(seed);
-        let noisy = rr.perturb_neighbor_list(&truth, opposite, &mut rng);
-        prop_assert!(noisy.windows(2).all(|w| w[0] < w[1]));
-        prop_assert!(noisy.iter().all(|&v| (v as usize) < opposite));
+        let noisy =
+            rr.perturb_neighbor_list_packed(&truth, None, opposite, &mut rng, &mut PerturbScratch::new());
+        prop_assert_eq!(noisy.universe(), opposite);
+        prop_assert_eq!(noisy.as_words().len(), opposite.div_ceil(64));
+        prop_assert!(noisy.to_sorted_ids().iter().all(|&v| (v as usize) < opposite));
     }
 
     /// Expected noisy-edge formula is bounded by the opposite-layer size and
@@ -169,8 +171,9 @@ fn empirical_flip_rates() {
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// The skip sampler always returns sorted, deduplicated, in-range lists,
-    /// for arbitrary budgets, seeds, degrees, and layer sizes.
+    /// The skip sampler keeps every bit inside the universe and its
+    /// population count equal to its set bits, for arbitrary budgets,
+    /// seeds, degrees, and layer sizes.
     #[test]
     fn skip_sampler_output_is_well_formed(
         eps in arb_epsilon(),
@@ -184,9 +187,11 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         // Spread the true neighbors out so flips can land between them.
         let opposite = opposite + degree;
-        let noisy = rr.perturb_neighbor_list(&truth, opposite, &mut rng);
-        prop_assert!(noisy.windows(2).all(|w| w[0] < w[1]), "sorted + deduplicated");
-        prop_assert!(noisy.iter().all(|&v| (v as usize) < opposite), "in range");
+        let noisy =
+            rr.perturb_neighbor_list_packed(&truth, None, opposite, &mut rng, &mut PerturbScratch::new());
+        let ids = noisy.to_sorted_ids();
+        prop_assert!(ids.iter().all(|&v| (v as usize) < opposite), "in range");
+        prop_assert_eq!(ids.len(), noisy.len(), "population count");
     }
 
     /// With a huge budget the skip sampler reproduces the truth, like the
@@ -199,11 +204,16 @@ proptest! {
     #[test]
     fn skip_sampler_identity_at_high_budget(seed in any::<u64>(), degree in 0usize..30) {
         let truth: Vec<u32> = (0..degree as u32).map(|i| i * 3 + 1).collect();
+        let n = 3 * degree + 10;
+        let true_packed = PackedSet::from_sorted(&truth, n);
+        let mut scratch = PerturbScratch::new();
         for eps in [25.0, 50.0, 700.0, 1000.0] {
             let rr = RandomizedResponse::new(PrivacyBudget::new(eps).unwrap());
-            let mut rng = StdRng::seed_from_u64(seed);
-            let noisy = rr.perturb_neighbor_list(&truth, 3 * degree + 10, &mut rng);
-            prop_assert_eq!(noisy, truth.clone(), "eps {}", eps);
+            for cached in [None, Some(&true_packed)] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let noisy = rr.perturb_neighbor_list_packed(&truth, cached, n, &mut rng, &mut scratch);
+                prop_assert_eq!(noisy.to_sorted_ids(), truth.clone(), "eps {}", eps);
+            }
         }
     }
 }
@@ -226,13 +236,13 @@ fn arb_row() -> impl Strategy<Value = (Vec<u32>, usize)> {
 }
 
 proptest! {
-    /// (a) Packed-native output bits equal the packed legacy-list output for
-    /// random lists and budgets — covering the skip (low-ε, table) and
-    /// near-dense (high-ε, formula) regimes, with and without a pre-packed
-    /// true bitmap — and (b) the batched pipeline consumes the RNG stream
-    /// draw-for-draw identically to the retained scalar sampler.
+    /// The packed pipeline sets exactly the ids of the scalar reference
+    /// sampler for random rows and budgets — covering the skip (low-ε,
+    /// table) and near-dense (high-ε, formula) regimes, with and without a
+    /// pre-packed true bitmap — and consumes the RNG stream draw-for-draw
+    /// identically to it.
     #[test]
-    fn packed_native_equals_legacy_list_and_stream(
+    fn packed_native_equals_scalar_reference_and_stream(
         (truth, n) in arb_row(),
         eps in 0.1f64..8.0,
         seed in any::<u64>(),
@@ -242,26 +252,22 @@ proptest! {
         let true_packed = PackedSet::from_sorted(&truth, n);
 
         let mut rng_scalar = StdRng::seed_from_u64(seed);
-        let mut rng_list = StdRng::seed_from_u64(seed);
         let mut rng_packed = StdRng::seed_from_u64(seed);
         let mut rng_cached = StdRng::seed_from_u64(seed);
 
         let scalar = rr.perturb_neighbor_list_scalar_reference(&truth, n, &mut rng_scalar);
-        let list = rr.perturb_neighbor_list_with(&truth, n, &mut rng_list, &mut scratch);
         let packed = rr.perturb_neighbor_list_packed(&truth, None, n, &mut rng_packed, &mut scratch);
         let cached =
             rr.perturb_neighbor_list_packed(&truth, Some(&true_packed), n, &mut rng_cached, &mut scratch);
 
-        // Identical bits across every representation.
-        prop_assert_eq!(&list, &scalar);
+        // Identical bits with and without the cached bitmap.
         prop_assert_eq!(packed.to_sorted_ids(), scalar.clone());
         prop_assert_eq!(&cached, &packed);
         prop_assert_eq!(packed.len(), scalar.len());
 
         // Identical RNG stream consumption: the post-call stream positions
-        // of all four samplers coincide.
+        // of all three samplers coincide.
         let next = rng_scalar.next_u64();
-        prop_assert_eq!(rng_list.next_u64(), next);
         prop_assert_eq!(rng_packed.next_u64(), next);
         prop_assert_eq!(rng_cached.next_u64(), next);
     }
@@ -269,11 +275,13 @@ proptest! {
 
 /// The batched pipeline at table-building scale (ε = 1 and 4 over a 100k
 /// universe — the bench workload) stays draw-for-draw identical to the
-/// scalar reference. Kept out of proptest so the big universes run once.
+/// scalar reference, with and without a cached true bitmap. Kept out of
+/// proptest so the big universes run once.
 #[test]
 fn batched_pipeline_stream_identity_at_bench_scale() {
     let n = 100_000usize;
     let truth: Vec<u32> = (0..10u32).map(|i| i * 9_999).collect();
+    let true_packed = PackedSet::from_sorted(&truth, n);
     let mut scratch = PerturbScratch::new();
     for eps in [1.0f64, 4.0] {
         let rr = RandomizedResponse::new(PrivacyBudget::new(eps).unwrap());
@@ -282,12 +290,22 @@ fn batched_pipeline_stream_identity_at_bench_scale() {
             let mut rng_b = StdRng::seed_from_u64(seed);
             let mut rng_c = StdRng::seed_from_u64(seed);
             let scalar = rr.perturb_neighbor_list_scalar_reference(&truth, n, &mut rng_a);
-            let list = rr.perturb_neighbor_list_with(&truth, n, &mut rng_b, &mut scratch);
+            let cached = rr.perturb_neighbor_list_packed(
+                &truth,
+                Some(&true_packed),
+                n,
+                &mut rng_b,
+                &mut scratch,
+            );
             let packed = rr.perturb_neighbor_list_packed(&truth, None, n, &mut rng_c, &mut scratch);
-            assert_eq!(list, scalar, "eps {eps} seed {seed}");
             assert_eq!(packed.to_sorted_ids(), scalar, "eps {eps} seed {seed}");
+            assert_eq!(cached, packed, "cached eps {eps} seed {seed}");
             let next = rng_a.next_u64();
-            assert_eq!(rng_b.next_u64(), next, "list stream eps {eps} seed {seed}");
+            assert_eq!(
+                rng_b.next_u64(),
+                next,
+                "cached stream eps {eps} seed {seed}"
+            );
             assert_eq!(
                 rng_c.next_u64(),
                 next,
@@ -314,12 +332,14 @@ fn skip_and_dense_samplers_match_rr_law_chi_squared() {
         let p = rr.flip_probability();
 
         // counts = (kept ones, dropped ones, flipped zeros, silent zeros)
-        let tally = |use_skip: bool, seed: u64| -> [f64; 4] {
+        let mut scratch = PerturbScratch::new();
+        let mut tally = |use_skip: bool, seed: u64| -> [f64; 4] {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut counts = [0f64; 4];
             for _ in 0..runs {
                 let noisy = if use_skip {
-                    rr.perturb_neighbor_list(&truth, n, &mut rng)
+                    rr.perturb_neighbor_list_packed(&truth, None, n, &mut rng, &mut scratch)
+                        .to_sorted_ids()
                 } else {
                     rr.perturb_neighbor_list_dense(&truth, n, &mut rng)
                 };
@@ -368,9 +388,13 @@ fn skip_sampler_density_sparse_large() {
     let truth: Vec<u32> = (0..10u32).map(|i| i * 9_999).collect(); // d = 10
     let rr = RandomizedResponse::new(PrivacyBudget::new(4.0).unwrap());
     let mut rng = StdRng::seed_from_u64(7);
+    let mut scratch = PerturbScratch::new();
     let runs = 200;
     let total: usize = (0..runs)
-        .map(|_| rr.perturb_neighbor_list(&truth, n, &mut rng).len())
+        .map(|_| {
+            rr.perturb_neighbor_list_packed(&truth, None, n, &mut rng, &mut scratch)
+                .len()
+        })
         .sum();
     let avg = total as f64 / runs as f64;
     let expected = rr.expected_noisy_edges(truth.len(), n);
@@ -382,31 +406,10 @@ fn skip_sampler_density_sparse_large() {
 }
 
 // ---------------------------------------------------------------------------
-// Block Laplace sampling and batched per-user stream setup.
+// Batched per-user stream setup.
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// The bulk sampler is draw-for-draw identical to the scalar inverse-CDF
-    /// loop for arbitrary scales, seeds, and block-straddling lengths — and
-    /// leaves the generator at the identical stream position.
-    #[test]
-    fn laplace_block_stream_identity(
-        scale in 0.01f64..100.0,
-        seed in any::<u64>(),
-        n in 0usize..200,
-    ) {
-        use ldp::laplace::sample_laplace_block;
-        let mut scalar_rng = StdRng::seed_from_u64(seed);
-        let scalar: Vec<u64> = (0..n)
-            .map(|_| sample_laplace(scale, &mut scalar_rng).to_bits())
-            .collect();
-        let mut block_rng = StdRng::seed_from_u64(seed);
-        let mut block = vec![0.0f64; n];
-        sample_laplace_block(scale, &mut block_rng, &mut block);
-        prop_assert_eq!(scalar, block.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
-        prop_assert_eq!(scalar_rng.next_u64(), block_rng.next_u64());
-    }
-
     /// Batched per-user stream setup + one keyed draw per stream equals the
     /// per-user scalar path (`seed_from_u64` then `sample_laplace`) exactly.
     #[test]
