@@ -13,7 +13,7 @@
 
 use bigraph::{BipartiteGraph, Layer};
 use cne::batch::BatchSingleSource;
-use cne::engine::EstimationEngine;
+use cne::engine::{EstimationEngine, RoundContext};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -131,15 +131,9 @@ fn bench_engine_cached_batch(c: &mut Criterion) {
     group.bench_function("warm_single_lean", |b| {
         let mut rng = StdRng::seed_from_u64(SEED);
         b.iter(|| {
+            let ctx = RoundContext::begin(EPSILON, &mut rng).expect("valid budget");
             let report = algo
-                .estimate_batch_in(
-                    engine.env(),
-                    Layer::Upper,
-                    0,
-                    &candidates,
-                    EPSILON,
-                    &mut rng,
-                )
+                .estimate_batch_in(engine.env(), Layer::Upper, 0, &candidates, ctx)
                 .expect("valid batch");
             criterion::black_box(report.transcript.total_bytes())
         });
@@ -147,15 +141,9 @@ fn bench_engine_cached_batch(c: &mut Criterion) {
     group.bench_function("warm_single_detailed", |b| {
         let mut rng = StdRng::seed_from_u64(SEED);
         b.iter(|| {
+            let ctx = RoundContext::begin_detailed(EPSILON, &mut rng).expect("valid budget");
             let report = algo
-                .estimate_batch_in_detailed(
-                    engine.env(),
-                    Layer::Upper,
-                    0,
-                    &candidates,
-                    EPSILON,
-                    &mut rng,
-                )
+                .estimate_batch_in(engine.env(), Layer::Upper, 0, &candidates, ctx)
                 .expect("valid batch");
             criterion::black_box(report.transcript.messages().len())
         });

@@ -8,7 +8,7 @@
 //! list into `⌈n/64⌉` machine words turns the same intersection into an
 //! `AND` + `popcount` loop that processes 64 candidates per instruction.
 //!
-//! [`intersection_size_degree_aware`] picks the cheapest of the three
+//! [`intersection_size_degree_aware_into`] picks the cheapest of the three
 //! available strategies (sorted merge, one-sided membership probes into a
 //! packed set, word-parallel popcount) from the operand densities; the `ldp`
 //! crate's noisy-neighborhood views and the `cne` batch engine both route
@@ -596,24 +596,6 @@ impl PackScratch {
     }
 }
 
-/// Degree-aware intersection: chooses the cheapest strategy for counting
-/// `|a ∩ b|` given that a packed form of `b` is already available.
-///
-/// * `a` much sparser than one probe per packed word → membership probes,
-/// * otherwise the caller should pack `a` too and use popcount; this
-///   function does that packing when it pays off (`|a|` greater than
-///   roughly twice the word count, the break-even point of one pack pass
-///   plus the popcount loop versus per-element probes).
-#[must_use]
-pub fn intersection_size_degree_aware(a: &[VertexId], b_packed: &PackedSet) -> u64 {
-    let words = b_packed.universe().div_ceil(64);
-    if a.len() <= 2 * words {
-        b_packed.intersection_size_sorted(a)
-    } else {
-        PackedSet::from_sorted(a, b_packed.universe()).intersection_size(b_packed)
-    }
-}
-
 /// Words per tile of [`popcount_and_multi`]: 8 KiB of `a`, small enough to
 /// stay L1-resident across all row passes of the tile.
 const MULTI_TILE_WORDS: usize = 1024;
@@ -648,10 +630,14 @@ pub fn popcount_and_multi(a: &[u64], rows: &[&[u64]], out: &mut [u64]) {
     }
 }
 
-/// [`intersection_size_degree_aware`] with a caller-provided pack buffer:
-/// the dense branch packs `a` into `scratch` instead of allocating a fresh
-/// `PackedSet`. Strategy threshold and count are identical, so the result
-/// is bit-for-bit the same.
+/// Degree-aware intersection: chooses the cheapest strategy for counting
+/// `|a ∩ b|` given that a packed form of `b` is already available.
+///
+/// * `a` much sparser than one probe per packed word → membership probes,
+/// * otherwise `a` is packed into `scratch` (no allocation once the buffer
+///   has grown) and the two word slices are popcounted — `|a|` greater
+///   than roughly twice the word count is the break-even point of one pack
+///   pass plus the popcount loop versus per-element probes.
 #[must_use]
 pub fn intersection_size_degree_aware_into(
     a: &[VertexId],
@@ -709,16 +695,17 @@ mod tests {
         let universe = 1000;
         let dense: Vec<VertexId> = (0..1000).filter(|v| v % 3 != 0).collect();
         let packed = PackedSet::from_sorted(&dense, universe);
+        let mut scratch = PackScratch::new();
         // Sparse probe branch.
         let sparse: Vec<VertexId> = vec![1, 2, 3, 500, 999];
         assert_eq!(
-            intersection_size_degree_aware(&sparse, &packed),
+            intersection_size_degree_aware_into(&sparse, &packed, &mut scratch),
             intersection_size(&sparse, &dense)
         );
         // Pack-and-popcount branch.
         let medium: Vec<VertexId> = (0..1000).step_by(2).collect();
         assert_eq!(
-            intersection_size_degree_aware(&medium, &packed),
+            intersection_size_degree_aware_into(&medium, &packed, &mut scratch),
             intersection_size(&medium, &dense)
         );
     }
@@ -750,7 +737,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_pack_matches_fresh_pack() {
+    fn degree_aware_scratch_reuse_matches_merge() {
         let universe = 777usize; // 13 words, remainder path exercised
         let dense: Vec<VertexId> = (0..777).filter(|v| v % 3 != 0).collect();
         let packed = PackedSet::from_sorted(&dense, universe);
@@ -759,7 +746,7 @@ mod tests {
             let a: Vec<VertexId> = (0..777).step_by(step).collect();
             assert_eq!(
                 intersection_size_degree_aware_into(&a, &packed, &mut scratch),
-                intersection_size_degree_aware(&a, &packed),
+                intersection_size(&a, &dense),
                 "step {step}"
             );
         }

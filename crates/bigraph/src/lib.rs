@@ -18,8 +18,6 @@
 //! * Jaccard / cosine vertex similarity ([`common_neighbors`]),
 //! * bit-packed vertex sets with degree-aware popcount intersection,
 //!   used by the LDP noisy-neighborhood hot paths ([`bitset`]),
-//! * one-mode projections ([`projection`]),
-//! * wedge and butterfly (2×2 biclique) counting ([`motifs`]),
 //! * vertex-pair samplers, including degree-imbalance (κ) constrained sampling
 //!   and induced-subgraph sampling for scaling experiments ([`sampling`]),
 //! * degree statistics and dataset summaries ([`stats`]),
@@ -51,15 +49,12 @@
 // definition and are only ever reached after the matching CPUID check.
 #![deny(unsafe_code)]
 
-pub mod bicliques;
 pub mod bitset;
 pub mod builder;
 pub mod common_neighbors;
 pub mod delta;
 pub mod error;
 pub mod graph;
-pub mod motifs;
-pub mod projection;
 pub mod sampling;
 pub mod snapshot;
 pub mod stats;

@@ -234,7 +234,7 @@ fn malformed(reason: impl Into<String>) -> SnapshotError {
 
 /// Is `v` dense enough that the engine's degree-aware dispatch would read
 /// its packed bitmap? Matches `AdjacencyStore::warm` and
-/// [`crate::bitset::intersection_size_degree_aware`] exactly.
+/// [`crate::bitset::intersection_size_degree_aware_into`] exactly.
 fn is_dense(g: &BipartiteGraph, layer: Layer, v: VertexId) -> bool {
     let words = g.layer_size(layer.opposite()).div_ceil(64);
     g.degree(layer, v) > 2 * words

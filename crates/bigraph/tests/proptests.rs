@@ -1,8 +1,7 @@
 //! Property-based tests for the bipartite graph substrate.
 
 use bigraph::{
-    bitset, common_neighbors, motifs, projection, stats, BipartiteGraph, GraphBuilder, GraphDelta,
-    Layer, UpdateBatch,
+    bitset, common_neighbors, stats, BipartiteGraph, GraphBuilder, GraphDelta, Layer, UpdateBatch,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -80,30 +79,6 @@ proptest! {
                 prop_assert!((0.0..=1.0).contains(&j));
             }
         }
-    }
-
-    /// Projection weights agree with pairwise common-neighbor counts.
-    #[test]
-    fn projection_agrees_with_counts((nu, nl, edges) in arb_graph()) {
-        let g = BipartiteGraph::from_edges(nu, nl, edges).unwrap();
-        let p = projection::project(&g, Layer::Upper).unwrap();
-        if nu < 2 { return Ok(()); }
-        for u in 0..(nu as u32).min(8) {
-            for w in (u + 1)..(nu as u32).min(8) {
-                let c = common_neighbors::count(&g, Layer::Upper, u, w).unwrap();
-                prop_assert_eq!(p.weight(u, w), c);
-            }
-        }
-    }
-
-    /// Butterfly count equals the sum over projected pairs of C(weight, 2).
-    #[test]
-    fn butterflies_from_projection((nu, nl, edges) in arb_graph()) {
-        let g = BipartiteGraph::from_edges(nu, nl, edges).unwrap();
-        let b = motifs::butterfly_count(&g).unwrap();
-        let p = projection::project(&g, Layer::Upper).unwrap();
-        let from_proj: u64 = p.iter().map(|(_, w)| w * w.saturating_sub(1) / 2).sum();
-        prop_assert_eq!(b, from_proj);
     }
 
     /// Degree histogram sums to the layer size and is consistent with the
@@ -485,8 +460,15 @@ proptest! {
                 prop_assert_eq!(pa.intersection_size(&pb), merge);
                 prop_assert_eq!(pb.intersection_size(&pa), merge);
                 prop_assert_eq!(pa.intersection_size_sorted(b), merge);
-                prop_assert_eq!(bitset::intersection_size_degree_aware(a, &pb), merge);
-                prop_assert_eq!(bitset::intersection_size_degree_aware(b, &pa), merge);
+                let mut scratch = bitset::PackScratch::new();
+                prop_assert_eq!(
+                    bitset::intersection_size_degree_aware_into(a, &pb, &mut scratch),
+                    merge
+                );
+                prop_assert_eq!(
+                    bitset::intersection_size_degree_aware_into(b, &pa, &mut scratch),
+                    merge
+                );
             }
         }
     }

@@ -337,6 +337,15 @@ fn handle(
                     ),
                 );
             }
+            // Every candidate must be a vertex of the query layer: round 2
+            // reads its adjacency by index.
+            let n = snap.engine().graph().layer_size(layer);
+            if let Some(&w) = candidates.iter().find(|&&w| w as usize >= n) {
+                return err(
+                    err_code::PROTOCOL,
+                    format!("candidate {w} is outside this worker's {layer:?} layer of {n}"),
+                );
+            }
             let rebuilt = BatchRound1 {
                 epsilon: round1.epsilon,
                 flip_probability: round1.flip_probability,

@@ -11,7 +11,8 @@
 //!
 //! The three row faults are a word count that does not match the
 //! universe, a bit set past the universe, and a universe that is not the
-//! opposite layer's size.
+//! opposite layer's size. A fourth fault leaves the row intact and names a
+//! round-2 candidate past the end of its layer.
 
 use bigraph::snapshot::GraphSnapshot;
 use bigraph::{BipartiteGraph, Layer};
@@ -63,10 +64,13 @@ enum Fault {
     BitPastUniverse,
     /// A well-formed row over 64 more vertices than the opposite layer.
     WrongUniverse,
+    /// A well-formed row, but the last round-2 candidate is the first id
+    /// past the end of the query layer.
+    CandidatePastLayer,
 }
 
 impl Fault {
-    fn apply(self, row: &mut WireRound1) {
+    fn apply(self, row: &mut WireRound1, candidates: Option<&mut Vec<u32>>) {
         match self {
             Fault::ShortRow => {
                 row.words.pop();
@@ -78,6 +82,10 @@ impl Fault {
             Fault::WrongUniverse => {
                 row.universe += 64;
                 row.words.push(0);
+            }
+            Fault::CandidatePastLayer => {
+                let candidates = candidates.expect("only Round2Req carries candidates");
+                *candidates.last_mut().unwrap() = N_UPPER as u32;
             }
         }
     }
@@ -94,13 +102,20 @@ fn relay(
     fired: Arc<AtomicUsize>,
 ) {
     let tamper = |msg: &mut Message| {
-        let row = match (direction, msg) {
-            (Direction::Round1Resp, Message::Round1Resp(row))
-            | (Direction::Round2Req, Message::Round2Req { round1: row, .. }) => row,
+        let (row, candidates) = match (direction, msg) {
+            (Direction::Round1Resp, Message::Round1Resp(row)) => (row, None),
+            (
+                Direction::Round2Req,
+                Message::Round2Req {
+                    round1: row,
+                    candidates,
+                    ..
+                },
+            ) => (row, Some(candidates)),
             _ => return,
         };
         if fired.fetch_add(1, Ordering::SeqCst) == 0 {
-            fault.apply(row);
+            fault.apply(row, candidates);
         }
     };
     for down in listener.incoming() {
@@ -235,8 +250,9 @@ enum Expect {
     Retried,
     /// The coordinator refuses the row itself.
     CoordinatorRefuses,
-    /// The worker answers `Err` with the protocol code.
-    WorkerRefuses,
+    /// The worker answers `Err` with the protocol code and a message
+    /// naming this.
+    WorkerRefuses(&'static str),
 }
 
 fn run(tag: &str, direction: Direction, fault: Fault, expect: Expect) {
@@ -248,7 +264,7 @@ fn run(tag: &str, direction: Direction, fault: Fault, expect: Expect) {
             assert!(detail.contains("noisy row"), "{detail}");
         }
         (
-            Expect::WorkerRefuses,
+            Expect::WorkerRefuses(names),
             Err(ClusterError::Remote {
                 worker: 0,
                 code,
@@ -256,7 +272,7 @@ fn run(tag: &str, direction: Direction, fault: Fault, expect: Expect) {
             }),
         ) => {
             assert_eq!(code, err_code::PROTOCOL, "{message}");
-            assert!(message.contains("noisy row"), "{message}");
+            assert!(message.contains(names), "{message}");
         }
         (_, other) => panic!("{tag}: unexpected outcome {:?}", other.map(|_| "Ok")),
     }
@@ -330,6 +346,16 @@ fn round2_req_over_the_wrong_universe_is_refused_by_the_worker() {
         "r2-universe",
         Direction::Round2Req,
         Fault::WrongUniverse,
-        Expect::WorkerRefuses,
+        Expect::WorkerRefuses("noisy row"),
+    );
+}
+
+#[test]
+fn round2_req_with_a_candidate_past_the_layer_is_refused_by_the_worker() {
+    run(
+        "r2-candidate",
+        Direction::Round2Req,
+        Fault::CandidatePastLayer,
+        Expect::WorkerRefuses("candidate"),
     );
 }

@@ -33,9 +33,10 @@
 //! The per-candidate loop is **allocation-free after warmup**: accounting
 //! runs in the lean mode (interned labels, fixed-size counters — see
 //! [`crate::engine`]), and any per-candidate packing goes through the
-//! worker's scratch arena ([`crate::engine::with_shard_scratch`]). Use
-//! [`BatchSingleSource::estimate_batch_detailed`] to retain the full
-//! message log and budget ledger instead.
+//! worker's scratch arena ([`crate::engine::with_shard_scratch`]). Pass
+//! [`BatchSingleSource::estimate_batch_in`] a context opened with
+//! [`RoundContext::begin_detailed`] to retain the full message log and
+//! budget ledger instead.
 
 use crate::engine::{with_shard_scratch, ProtocolEnv, RoundContext};
 use crate::error::{CneError, Result};
@@ -138,7 +139,9 @@ impl BatchSingleSource {
         AlgorithmKind::MultiRSS
     }
 
-    /// Runs the batch protocol for `target` against `candidates` on `layer`.
+    /// Runs the batch protocol for `target` against `candidates` on `layer`:
+    /// [`BatchSingleSource::estimate_batch_in`] over an uncached
+    /// environment in a lean [`RoundContext`].
     ///
     /// # Errors
     ///
@@ -156,49 +159,19 @@ impl BatchSingleSource {
         epsilon: f64,
         rng: &mut dyn rand::RngCore,
     ) -> Result<BatchReport> {
-        self.estimate_batch_in(
-            ProtocolEnv::uncached(g),
-            layer,
-            target,
-            candidates,
-            epsilon,
-            rng,
-        )
+        let ctx = RoundContext::begin(epsilon, rng)?;
+        self.estimate_batch_in(ProtocolEnv::uncached(g), layer, target, candidates, ctx)
     }
 
-    /// [`BatchSingleSource::estimate_batch`] in **detailed** accounting
-    /// mode: the report retains the per-message transcript log and the
-    /// per-charge budget ledger. Estimates and every aggregate are
-    /// byte-identical to the lean run on the same seed.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BatchSingleSource::estimate_batch`].
-    pub fn estimate_batch_detailed(
-        &self,
-        g: &BipartiteGraph,
-        layer: Layer,
-        target: VertexId,
-        candidates: &[VertexId],
-        epsilon: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<BatchReport> {
-        self.estimate_batch_impl(
-            ProtocolEnv::uncached(g),
-            layer,
-            target,
-            candidates,
-            epsilon,
-            rng,
-            true,
-        )
-    }
-
-    /// [`BatchSingleSource::estimate_batch`] inside a protocol environment —
-    /// the entry point [`crate::engine::EstimationEngine`] routes through so
-    /// candidate adjacencies come from its warm
-    /// [`crate::engine::AdjacencyStore`]. Byte-identical to the uncached
-    /// path for the same seed.
+    /// Runs the batch protocol inside a protocol environment, recording
+    /// into `ctx` — the entry point [`crate::engine::EstimationEngine`]
+    /// routes through so candidate adjacencies come from its warm
+    /// [`crate::engine::AdjacencyStore`]. The context's accounting mode is
+    /// the report's: a context from [`RoundContext::begin_detailed`]
+    /// retains the per-message transcript log and the per-charge budget
+    /// ledger, one from [`RoundContext::begin`] only the aggregates.
+    /// Estimates and aggregates are byte-identical across environments and
+    /// modes for the same seed.
     ///
     /// # Errors
     ///
@@ -209,47 +182,9 @@ impl BatchSingleSource {
         layer: Layer,
         target: VertexId,
         candidates: &[VertexId],
-        epsilon: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<BatchReport> {
-        self.estimate_batch_impl(env, layer, target, candidates, epsilon, rng, false)
-    }
-
-    /// [`BatchSingleSource::estimate_batch_in`] with detailed accounting
-    /// (see [`BatchSingleSource::estimate_batch_detailed`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BatchSingleSource::estimate_batch`].
-    pub fn estimate_batch_in_detailed(
-        &self,
-        env: ProtocolEnv<'_>,
-        layer: Layer,
-        target: VertexId,
-        candidates: &[VertexId],
-        epsilon: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<BatchReport> {
-        self.estimate_batch_impl(env, layer, target, candidates, epsilon, rng, true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn estimate_batch_impl(
-        &self,
-        env: ProtocolEnv<'_>,
-        layer: Layer,
-        target: VertexId,
-        candidates: &[VertexId],
-        epsilon: f64,
-        rng: &mut dyn rand::RngCore,
-        detailed: bool,
+        mut ctx: RoundContext<'_>,
     ) -> Result<BatchReport> {
         validate_batch_query(env.graph, layer, target, candidates)?;
-        let mut ctx = if detailed {
-            RoundContext::begin_detailed(epsilon, rng)?
-        } else {
-            RoundContext::begin(epsilon, rng)?
-        };
         let round1 = self.round1_with_ctx(env, layer, target, &mut ctx)?;
 
         // Round 2: every candidate downloads the noisy list, builds its
@@ -271,7 +206,7 @@ impl BatchSingleSource {
             target,
             layer,
             estimates,
-            epsilon,
+            epsilon: round1.epsilon,
             budget,
             transcript,
         })
@@ -290,7 +225,7 @@ impl BatchSingleSource {
     /// [`batch_round2`] and [`BatchSingleSource::assemble_report`]. Running
     /// `round1_in` + `batch_round2` + `assemble_report` over any partition
     /// of `candidates` is byte-identical to
-    /// [`BatchSingleSource::estimate_batch_in`] on the same `rng`, because
+    /// [`BatchSingleSource::estimate_batch`] on the same `rng`, because
     /// all three share their validation, estimation, and accounting code
     /// with it.
     ///
@@ -310,8 +245,10 @@ impl BatchSingleSource {
         epsilon: f64,
         rng: &mut dyn rand::RngCore,
     ) -> Result<BatchRound1> {
-        validate_batch_query(env.graph, layer, target, candidates)?;
+        // Budget first, then the query: the order `estimate_batch` checks
+        // them in, so a sharded run reports the same first error.
         let mut ctx = RoundContext::begin(epsilon, rng)?;
+        validate_batch_query(env.graph, layer, target, candidates)?;
         self.round1_with_ctx(env, layer, target, &mut ctx)
     }
 
@@ -562,18 +499,15 @@ const ROUND2_CHUNK: usize = 32;
 /// Per-target round-1 state staged for the fused candidate-major round 2.
 struct TargetShard {
     target: VertexId,
-    flip_probability: f64,
     laplace: LaplaceMechanism,
-    base_seed: u64,
-    eps2: PrivacyBudget,
-    noisy: NoisyNeighborsPacked,
+    round1: BatchRound1,
 }
 
 impl BatchSingleSource {
     /// Sharded batch estimation across many targets with a **fused,
     /// candidate-major round 2**, byte-identical to running
-    /// [`BatchSingleSource::estimate_batch_in`] per target on the stream
-    /// `RoundContext::user_rng(seed, t)` — the contract
+    /// [`BatchSingleSource::estimate_batch_in`] per target in a lean context
+    /// on the stream `RoundContext::user_rng(seed, t)` — the contract
     /// [`crate::engine::EstimationEngine::estimate_many_targets`] documents.
     ///
     /// The per-target reference walks the candidate list once per target,
@@ -609,7 +543,6 @@ impl BatchSingleSource {
         epsilon: f64,
         seed: u64,
     ) -> Result<Vec<BatchReport>> {
-        let g = env.graph;
         // Round 1 + validation per target, in target order (so the first
         // error matches the sequential reference). Each target's context
         // wraps its own `mix(seed, target)` stream.
@@ -619,47 +552,20 @@ impl BatchSingleSource {
             .collect();
         let mut shards: Vec<TargetShard> = Vec::with_capacity(targets.len());
         let mut ctxs: Vec<RoundContext<'_>> = Vec::with_capacity(targets.len());
+        let mut shard_candidates = Vec::with_capacity(candidates.len());
         for (&target, rng) in targets.iter().zip(rngs.iter_mut()) {
-            // The shard's candidate list is `candidates` minus the target;
-            // validate exactly as `estimate_batch_impl` validates it.
-            if !candidates.iter().any(|&w| w != target) {
-                return Err(CneError::InvalidParameter {
-                    name: "candidates",
-                    reason: "the candidate list must not be empty".into(),
-                });
-            }
-            for &w in candidates {
-                if w != target {
-                    common_neighbors::check_query_pair(g, layer, target, w)?;
-                }
-            }
-            let mut seen: Vec<VertexId> = candidates
-                .iter()
-                .copied()
-                .filter(|&w| w != target)
-                .collect();
-            seen.sort_unstable();
-            if seen.windows(2).any(|w| w[0] == w[1]) {
-                return Err(CneError::InvalidParameter {
-                    name: "candidates",
-                    reason: "candidate vertices must be distinct".into(),
-                });
-            }
+            // The shard's candidate list is `candidates` minus the target,
+            // validated and perturbed exactly as `estimate_batch_in` would.
+            shard_candidates.clear();
+            shard_candidates.extend(candidates.iter().copied().filter(|&w| w != target));
+            validate_batch_query(env.graph, layer, target, &shard_candidates)?;
             let mut ctx = RoundContext::begin(epsilon, rng)?;
-            let (eps1, eps2) = ctx.total().split_fraction(self.epsilon1_fraction)?;
-            let round1 =
-                randomized_response_round_packed(env, layer, &[target], eps1, 1, &mut ctx)?;
-            let flip_probability = round1.flip_probability;
-            let noisy = round1.noisy.into_iter().next().expect("one list requested");
-            let laplace = single_source_laplace(flip_probability, eps2)?;
-            let base_seed = ctx.next_stream_base();
+            let round1 = self.round1_with_ctx(env, layer, target, &mut ctx)?;
+            let laplace = single_source_laplace(round1.flip_probability, round1.eps2)?;
             shards.push(TargetShard {
                 target,
-                flip_probability,
                 laplace,
-                base_seed,
-                eps2,
-                noisy,
+                round1,
             });
             ctxs.push(ctx);
         }
@@ -670,8 +576,8 @@ impl BatchSingleSource {
         // (their streams are independent of every live one).
         let chunk_count = candidates.len().div_ceil(ROUND2_CHUNK);
         let shards_ref = &shards;
-        let rows: Vec<&PackedSet> = shards.iter().map(|s| s.noisy.set()).collect();
-        let flips: Vec<f64> = shards.iter().map(|s| s.flip_probability).collect();
+        let rows: Vec<&PackedSet> = shards.iter().map(|s| s.round1.noisy_target.set()).collect();
+        let flips: Vec<f64> = shards.iter().map(|s| s.round1.flip_probability).collect();
         let (rows_ref, flips_ref) = (&rows, &flips);
         let chunk_values: Vec<Vec<f64>> = (0..chunk_count)
             .into_par_iter()
@@ -715,7 +621,7 @@ impl BatchSingleSource {
                         seeds.extend(
                             chunk
                                 .iter()
-                                .map(|&w| user_stream_seed(shard.base_seed, u64::from(w))),
+                                .map(|&w| user_stream_seed(shard.round1.base_seed, u64::from(w))),
                         );
                         StdRng::seed_batch_from_u64(seeds, streams);
                         noise.clear();
@@ -748,7 +654,12 @@ impl BatchSingleSource {
                     }
                 }
             }
-            replay_round2_accounting(&mut ctx, &shard.noisy, shard.eps2, estimates.len())?;
+            replay_round2_accounting(
+                &mut ctx,
+                &shard.round1.noisy_target,
+                shard.round1.eps2,
+                estimates.len(),
+            )?;
             let (budget, transcript) = ctx.finish();
             reports.push(BatchReport {
                 target: shard.target,
@@ -873,12 +784,14 @@ mod tests {
         let g = graph();
         let algo = BatchSingleSource::default();
         let mut rng = StdRng::seed_from_u64(7);
-        let small = algo
-            .estimate_batch_detailed(&g, Layer::Upper, 0, &[1], 2.0, &mut rng)
-            .unwrap();
-        let large = algo
-            .estimate_batch_detailed(&g, Layer::Upper, 0, &[1, 2, 3], 2.0, &mut rng)
-            .unwrap();
+        let env = ProtocolEnv::uncached(&g);
+        let mut detailed = |candidates: &[VertexId]| {
+            let ctx = RoundContext::begin_detailed(2.0, &mut rng).unwrap();
+            algo.estimate_batch_in(env, Layer::Upper, 0, candidates, ctx)
+                .unwrap()
+        };
+        let small = detailed(&[1]);
+        let large = detailed(&[1, 2, 3]);
         // Exactly one upload of the target's noisy edges in both runs.
         let uploads = |r: &BatchReport| {
             r.transcript

@@ -1,11 +1,10 @@
 //! The central-model baseline `CentralDP`.
 
-use crate::engine::{EngineEstimator, ProtocolEnv, RoundContext};
+use crate::engine::{ProtocolEnv, RoundContext};
 use crate::error::Result;
 use crate::estimate::{AlgorithmKind, ChosenParameters, EstimateReport};
 use crate::estimator::CommonNeighborEstimator;
 use crate::protocol::Query;
-use bigraph::BipartiteGraph;
 use ldp::budget::Composition;
 use ldp::laplace::LaplaceMechanism;
 use ldp::mechanism::Sensitivity;
@@ -22,7 +21,11 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CentralDP;
 
-impl EngineEstimator for CentralDP {
+impl CommonNeighborEstimator for CentralDP {
+    fn kind(&self) -> AlgorithmKind {
+        AlgorithmKind::CentralDP
+    }
+
     fn estimate_in(
         &self,
         env: ProtocolEnv<'_>,
@@ -52,25 +55,10 @@ impl EngineEstimator for CentralDP {
     }
 }
 
-impl CommonNeighborEstimator for CentralDP {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::CentralDP
-    }
-
-    fn estimate(
-        &self,
-        g: &BipartiteGraph,
-        query: &Query,
-        epsilon: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<EstimateReport> {
-        crate::engine::run_uncached(self, g, query, epsilon, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bigraph::BipartiteGraph;
     use bigraph::Layer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -12,14 +12,14 @@
 //!   are public, so the `ε₀` round is skipped and the whole budget goes to the
 //!   optimised `ε₁ + ε₂` split.
 
-use crate::engine::{EngineEstimator, ProtocolEnv, RoundContext};
+use crate::engine::{ProtocolEnv, RoundContext};
 use crate::error::{CneError, Result};
 use crate::estimate::{AlgorithmKind, ChosenParameters, EstimateReport};
 use crate::estimator::CommonNeighborEstimator;
 use crate::optimizer::optimize_double_source;
 use crate::protocol::{randomized_response_round_packed, Query, SCALAR_BYTES};
 use crate::single_source::{single_source_laplace, single_source_value_scratch};
-use bigraph::{BipartiteGraph, VertexId};
+use bigraph::VertexId;
 use ldp::budget::{Composition, PrivacyBudget};
 use ldp::laplace::LaplaceMechanism;
 use ldp::mechanism::Sensitivity;
@@ -172,7 +172,11 @@ fn run_double_source_rounds(
     Ok(DoubleSourceRounds { f_u, f_w })
 }
 
-impl EngineEstimator for MultiRDSBasic {
+impl CommonNeighborEstimator for MultiRDSBasic {
+    fn kind(&self) -> AlgorithmKind {
+        AlgorithmKind::MultiRDSBasic
+    }
+
     fn estimate_in(
         &self,
         env: ProtocolEnv<'_>,
@@ -204,23 +208,11 @@ impl EngineEstimator for MultiRDSBasic {
     }
 }
 
-impl CommonNeighborEstimator for MultiRDSBasic {
+impl CommonNeighborEstimator for MultiRDS {
     fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::MultiRDSBasic
+        AlgorithmKind::MultiRDS
     }
 
-    fn estimate(
-        &self,
-        g: &BipartiteGraph,
-        query: &Query,
-        epsilon: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<EstimateReport> {
-        crate::engine::run_uncached(self, g, query, epsilon, rng)
-    }
-}
-
-impl EngineEstimator for MultiRDS {
     fn estimate_in(
         &self,
         env: ProtocolEnv<'_>,
@@ -296,23 +288,11 @@ impl EngineEstimator for MultiRDS {
     }
 }
 
-impl CommonNeighborEstimator for MultiRDS {
+impl CommonNeighborEstimator for MultiRDSStar {
     fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::MultiRDS
+        AlgorithmKind::MultiRDSStar
     }
 
-    fn estimate(
-        &self,
-        g: &BipartiteGraph,
-        query: &Query,
-        epsilon: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<EstimateReport> {
-        crate::engine::run_uncached(self, g, query, epsilon, rng)
-    }
-}
-
-impl EngineEstimator for MultiRDSStar {
     fn estimate_in(
         &self,
         env: ProtocolEnv<'_>,
@@ -353,25 +333,10 @@ impl EngineEstimator for MultiRDSStar {
     }
 }
 
-impl CommonNeighborEstimator for MultiRDSStar {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::MultiRDSStar
-    }
-
-    fn estimate(
-        &self,
-        g: &BipartiteGraph,
-        query: &Query,
-        epsilon: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<EstimateReport> {
-        crate::engine::run_uncached(self, g, query, epsilon, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bigraph::BipartiteGraph;
     use bigraph::Layer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -508,10 +473,13 @@ mod tests {
 
     #[test]
     fn ds_communication_includes_degree_round() {
-        use crate::engine::run_detailed;
         let (g, q) = imbalanced_graph();
         let mut rng = StdRng::seed_from_u64(7);
-        let ds = run_detailed(&MultiRDS::default(), &g, &q, 2.0, &mut rng).unwrap();
+        let mut detailed = |est: &dyn CommonNeighborEstimator| {
+            let ctx = RoundContext::begin_detailed(2.0, &mut rng).unwrap();
+            est.estimate_in(ProtocolEnv::uncached(&g), &q, ctx).unwrap()
+        };
+        let ds = detailed(&MultiRDS::default());
         // DS uploads one noisy degree per vertex of the query layer in round 1.
         let degree_msg = ds
             .transcript
@@ -522,8 +490,8 @@ mod tests {
         assert_eq!(degree_msg.bytes, g.layer_size(q.layer) * SCALAR_BYTES);
         assert_eq!(degree_msg.round, 1);
         // Basic and DS* skip the degree round entirely.
-        let basic = run_detailed(&MultiRDSBasic::default(), &g, &q, 2.0, &mut rng).unwrap();
-        let star = run_detailed(&MultiRDSStar, &g, &q, 2.0, &mut rng).unwrap();
+        let basic = detailed(&MultiRDSBasic::default());
+        let star = detailed(&MultiRDSStar);
         for report in [&basic, &star] {
             assert!(report
                 .transcript

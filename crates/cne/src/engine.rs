@@ -25,19 +25,22 @@
 //!
 //! # Lean vs detailed accounting
 //!
-//! A [`RoundContext`] opened with [`RoundContext::begin`] records **lean**
-//! accounting artifacts: the transcript keeps only the fixed-size
-//! [`ldp::transcript::TranscriptStats`] counters and the budget accountant
-//! keeps only its consumption totals, so recording a message or charging
-//! the budget is pure arithmetic — no allocation, no label rendering. All
-//! aggregate accessors (total/per-round/per-direction bytes, rounds,
-//! consumed budget) are exact in this mode; only the per-message /
-//! per-charge logs are absent. Open the context with
-//! [`RoundContext::begin_detailed`] (or run through
-//! [`run_detailed`] / `BatchSingleSource::estimate_batch_detailed`) to
-//! additionally retain those logs for tests and debugging. Estimates and
-//! aggregates are byte-identical across the two modes — the mode changes
-//! *what is retained*, never what is computed.
+//! The accounting mode is chosen in one place: where the run's
+//! [`RoundContext`] opens. A context opened with [`RoundContext::begin`]
+//! records **lean** accounting artifacts: the transcript keeps only the
+//! fixed-size [`ldp::transcript::TranscriptStats`] counters and the budget
+//! accountant keeps only its consumption totals, so recording a message or
+//! charging the budget is pure arithmetic — no allocation, no label
+//! rendering. All aggregate accessors (total/per-round/per-direction bytes,
+//! rounds, consumed budget) are exact in this mode; only the per-message /
+//! per-charge logs are absent. A context opened with
+//! [`RoundContext::begin_detailed`] additionally retains those logs, for
+//! tests and debugging. Every query entry point that takes `(epsilon, rng)`
+//! opens a lean context; to get the logs, open a detailed one and pass it
+//! to [`CommonNeighborEstimator::estimate_in`] or
+//! [`BatchSingleSource::estimate_batch_in`]. Estimates and aggregates are
+//! byte-identical across the two modes — the mode changes *what is
+//! retained*, never what is computed.
 //!
 //! # Scratch-arena lifecycle
 //!
@@ -131,7 +134,8 @@
 //!    [`EstimationEngine::estimate_at`] /
 //!    [`EstimationEngine::estimate_batch_at`] guards, turning
 //!    read-your-stale-writes races into explicit
-//!    [`CneError::StaleGeneration`] retries.
+//!    [`CneError::StaleGeneration`] rejections. The check runs before any
+//!    protocol round, so a rejected read consumes no randomness.
 //!
 //! # Serving lifecycle
 //!
@@ -139,14 +143,11 @@
 //!
 //! * **Single-owner loop** — one thread owns the engine, alternating
 //!   [`EstimationEngine::apply_updates`] and query rounds. Readers guard
-//!   with the generation-checked entry points and, instead of hand-rolling
-//!   the retry, can use [`EstimationEngine::estimate_with_retry`] /
-//!   [`EstimationEngine::estimate_batch_with_retry`]: a
+//!   with the generation-checked entry points; a
 //!   [`CneError::StaleGeneration`] rejection carries the current
-//!   generation, so the helper re-resolves the cursor and retries within a
-//!   bound — staleness is a *retry hint*, not a failure. The cost of this
-//!   model is the stop-the-world splice: every batch blocks queries while
-//!   the CSR is spliced.
+//!   generation, so the reader re-derives its state and re-issues the
+//!   query. The cost of this model is the stop-the-world splice: every
+//!   batch blocks queries while the CSR is spliced.
 //! * **Serving tier** — [`crate::serving::ServingEngine`] removes that
 //!   stall with epoch-pinned double-buffering. Readers pin a snapshot
 //!   (`snapshot()` — a slot CAS, no locks, no allocation), query it like
@@ -760,7 +761,7 @@ impl<'a> ProtocolEnv<'a> {
     /// allocation) and popcounts that. All strategies count the same set,
     /// so the result — and everything derived from it — is identical with
     /// and without a store. The density threshold matches
-    /// [`bigraph::bitset::intersection_size_degree_aware`] exactly.
+    /// [`bigraph::bitset::intersection_size_degree_aware_into`] exactly.
     #[must_use]
     pub fn true_intersection_with_scratch(
         &self,
@@ -1114,60 +1115,6 @@ impl<'r> RoundContext<'r> {
     }
 }
 
-/// A pairwise estimator that can run inside an engine environment.
-///
-/// This is the engine-aware face of [`CommonNeighborEstimator`]: the logic
-/// lives in [`EngineEstimator::estimate_in`], and the legacy
-/// [`CommonNeighborEstimator::estimate`] entry point of every algorithm is a
-/// thin wrapper that runs the same code with an uncached environment —
-/// guaranteeing the two paths cannot drift apart.
-pub trait EngineEstimator: CommonNeighborEstimator {
-    /// Runs the protocol in `env`, reading and writing run state via `ctx`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CommonNeighborEstimator::estimate`].
-    fn estimate_in(
-        &self,
-        env: ProtocolEnv<'_>,
-        query: &Query,
-        ctx: RoundContext<'_>,
-    ) -> Result<EstimateReport>;
-}
-
-/// Runs `est` once without a cache — the body of every legacy
-/// [`CommonNeighborEstimator::estimate`] implementation. Lean accounting.
-pub(crate) fn run_uncached(
-    est: &dyn EngineEstimator,
-    g: &BipartiteGraph,
-    query: &Query,
-    epsilon: f64,
-    rng: &mut dyn RngCore,
-) -> Result<EstimateReport> {
-    let ctx = RoundContext::begin(epsilon, rng)?;
-    est.estimate_in(ProtocolEnv::uncached(g), query, ctx)
-}
-
-/// Runs `est` once without a cache in **detailed** accounting mode: the
-/// returned report retains the full per-message transcript log and
-/// per-charge budget ledger. The estimate and every transcript/budget
-/// aggregate are byte-identical to [`CommonNeighborEstimator::estimate`]
-/// on the same seed.
-///
-/// # Errors
-///
-/// Same contract as [`CommonNeighborEstimator::estimate`].
-pub fn run_detailed(
-    est: &dyn EngineEstimator,
-    g: &BipartiteGraph,
-    query: &Query,
-    epsilon: f64,
-    rng: &mut dyn RngCore,
-) -> Result<EstimateReport> {
-    let ctx = RoundContext::begin_detailed(epsilon, rng)?;
-    est.estimate_in(ProtocolEnv::uncached(g), query, ctx)
-}
-
 /// The persistent curator-side service facade: one graph, one warm
 /// [`AdjacencyStore`], any number of queries — and, for engines that own
 /// their graph, streaming mutation through
@@ -1281,8 +1228,10 @@ impl<'g> EstimationEngine<'g> {
     /// The engine's generation: how many effective update batches have been
     /// applied since construction. Readers snapshot this before deriving
     /// state from query results (candidate sets, rankings) and re-check it
-    /// with [`EstimationEngine::check_generation`] — or query through the
-    /// `*_at` variants — to detect that updates intervened.
+    /// with [`EstimationEngine::check_generation`] — or query through
+    /// [`EstimationEngine::estimate_at`] /
+    /// [`EstimationEngine::estimate_batch_at`] — to detect that updates
+    /// intervened.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -1412,7 +1361,7 @@ impl<'g> EstimationEngine<'g> {
     /// Same contract as [`CommonNeighborEstimator::estimate`].
     pub fn estimate_with(
         &self,
-        est: &dyn EngineEstimator,
+        est: &dyn CommonNeighborEstimator,
         query: &Query,
         epsilon: f64,
         rng: &mut dyn RngCore,
@@ -1422,7 +1371,10 @@ impl<'g> EstimationEngine<'g> {
     }
 
     /// Runs the batch single-source protocol (default configuration) for one
-    /// target against many candidates, reusing the warm cache.
+    /// target against many candidates, reusing the warm cache. Lean
+    /// accounting; for the detailed logs, open a context with
+    /// [`RoundContext::begin_detailed`] and call
+    /// [`BatchSingleSource::estimate_batch_in`] on [`EstimationEngine::env`].
     ///
     /// # Errors
     ///
@@ -1435,31 +1387,8 @@ impl<'g> EstimationEngine<'g> {
         epsilon: f64,
         rng: &mut dyn RngCore,
     ) -> Result<BatchReport> {
-        self.estimate_batch_with(
-            &BatchSingleSource::default(),
-            layer,
-            target,
-            candidates,
-            epsilon,
-            rng,
-        )
-    }
-
-    /// [`EstimationEngine::estimate_batch`] with a custom batch configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BatchSingleSource::estimate_batch`].
-    pub fn estimate_batch_with(
-        &self,
-        algo: &BatchSingleSource,
-        layer: Layer,
-        target: VertexId,
-        candidates: &[VertexId],
-        epsilon: f64,
-        rng: &mut dyn RngCore,
-    ) -> Result<BatchReport> {
-        algo.estimate_batch_in(self.env(), layer, target, candidates, epsilon, rng)
+        let ctx = RoundContext::begin(epsilon, rng)?;
+        BatchSingleSource::default().estimate_batch_in(self.env(), layer, target, candidates, ctx)
     }
 
     /// [`EstimationEngine::estimate`] guarded by a generation snapshot: the
@@ -1503,81 +1432,6 @@ impl<'g> EstimationEngine<'g> {
         self.estimate_batch(layer, target, candidates, epsilon, rng)
     }
 
-    /// [`EstimationEngine::estimate_at`] with bounded stale-generation
-    /// retry, for callers that track a generation themselves instead of
-    /// going through [`ServingEngine`](crate::serving::ServingEngine).
-    ///
-    /// On [`CneError::StaleGeneration`] the caller's `generation` cursor is
-    /// advanced to the current generation carried in the error and the
-    /// query re-issued, up to `max_retries` times. The generation check
-    /// runs *before* any protocol rounds, so a rejected attempt consumes no
-    /// randomness from `rng` — retries leave the draw stream of the
-    /// successful attempt byte-identical to a first-try success.
-    ///
-    /// On a single engine the first retry always succeeds (nothing mutates
-    /// an `&self` engine between the error and the retry); the bound
-    /// matters when the engine is re-resolved between attempts, e.g. a
-    /// serving tier swapping buffers under the caller.
-    ///
-    /// # Errors
-    ///
-    /// [`CneError::StaleGeneration`] if the cursor is still stale after
-    /// `max_retries` retries; otherwise the contract of
-    /// [`EstimationEngine::estimate`].
-    pub fn estimate_with_retry(
-        &self,
-        generation: &mut u64,
-        query: &Query,
-        kind: AlgorithmKind,
-        epsilon: f64,
-        rng: &mut dyn RngCore,
-        max_retries: usize,
-    ) -> Result<EstimateReport> {
-        let mut retries = 0;
-        loop {
-            match self.estimate_at(*generation, query, kind, epsilon, rng) {
-                Err(CneError::StaleGeneration { current, .. }) if retries < max_retries => {
-                    *generation = current;
-                    retries += 1;
-                }
-                outcome => return outcome,
-            }
-        }
-    }
-
-    /// [`EstimationEngine::estimate_batch_at`] with bounded
-    /// stale-generation retry — the batch counterpart of
-    /// [`EstimationEngine::estimate_with_retry`], with the same
-    /// draw-stream guarantee (a rejected attempt consumes no randomness).
-    ///
-    /// # Errors
-    ///
-    /// [`CneError::StaleGeneration`] if still stale after `max_retries`
-    /// retries; otherwise the contract of
-    /// [`EstimationEngine::estimate_batch`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn estimate_batch_with_retry(
-        &self,
-        generation: &mut u64,
-        layer: Layer,
-        target: VertexId,
-        candidates: &[VertexId],
-        epsilon: f64,
-        rng: &mut dyn RngCore,
-        max_retries: usize,
-    ) -> Result<BatchReport> {
-        let mut retries = 0;
-        loop {
-            match self.estimate_batch_at(*generation, layer, target, candidates, epsilon, rng) {
-                Err(CneError::StaleGeneration { current, .. }) if retries < max_retries => {
-                    *generation = current;
-                    retries += 1;
-                }
-                outcome => return outcome,
-            }
-        }
-    }
-
     /// Sharded batch estimation: every target in `targets` is estimated
     /// against every candidate in `candidates` (minus itself), fanned out
     /// over rayon with one deterministic RNG stream per target shard.
@@ -1612,31 +1466,6 @@ impl<'g> EstimationEngine<'g> {
         epsilon: f64,
         seed: u64,
     ) -> Result<Vec<BatchReport>> {
-        self.estimate_many_targets_with(
-            &BatchSingleSource::default(),
-            layer,
-            targets,
-            candidates,
-            epsilon,
-            seed,
-        )
-    }
-
-    /// [`EstimationEngine::estimate_many_targets`] with a custom batch
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`EstimationEngine::estimate_many_targets`].
-    pub fn estimate_many_targets_with(
-        &self,
-        algo: &BatchSingleSource,
-        layer: Layer,
-        targets: &[VertexId],
-        candidates: &[VertexId],
-        epsilon: f64,
-        seed: u64,
-    ) -> Result<Vec<BatchReport>> {
         if targets.is_empty() {
             return Err(CneError::InvalidParameter {
                 name: "targets",
@@ -1660,7 +1489,14 @@ impl<'g> EstimationEngine<'g> {
         // each candidate's adjacency — loaded once — against all noisy
         // target rows, with per-chunk batched stream seeding and keyed
         // Laplace draws. Byte-identical to the per-target reference above.
-        algo.estimate_many_in(self.env(), layer, targets, candidates, epsilon, seed)
+        BatchSingleSource::default().estimate_many_in(
+            self.env(),
+            layer,
+            targets,
+            candidates,
+            epsilon,
+            seed,
+        )
     }
 }
 

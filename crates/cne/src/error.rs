@@ -21,10 +21,16 @@ pub enum CneError {
         /// Human-readable description of the problem.
         reason: String,
     },
-    /// A generation-checked read observed an engine that has applied update
-    /// batches since the reader's snapshot (see
-    /// [`crate::EstimationEngine::check_generation`]). The reader should
-    /// re-derive its state from the current graph and retry.
+    /// A generation-checked read
+    /// ([`crate::EstimationEngine::estimate_at`],
+    /// [`crate::EstimationEngine::estimate_batch_at`],
+    /// [`crate::EstimationEngine::check_generation`]) observed an engine
+    /// that has applied update batches since the reader's snapshot. The
+    /// check runs before any protocol round, so the rejected read consumed
+    /// no randomness. The reader should re-derive its state from the
+    /// current graph and retry. Readers that query a pinned
+    /// [`crate::ServingEngine`] snapshot directly need no cursor, because a
+    /// pinned buffer cannot change.
     StaleGeneration {
         /// The generation the reader snapshotted.
         observed: u64,
@@ -36,8 +42,7 @@ pub enum CneError {
 impl CneError {
     /// For a [`CneError::StaleGeneration`], the engine generation that was
     /// current when the read was rejected — the retry hint: a caller
-    /// re-issues the query with this cursor (see
-    /// [`EstimationEngine::estimate_with_retry`](crate::EstimationEngine::estimate_with_retry)).
+    /// re-derives its state and re-issues the query with this cursor.
     /// `None` for every other error.
     #[must_use]
     pub fn stale_current(&self) -> Option<u64> {

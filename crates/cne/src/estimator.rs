@@ -1,5 +1,6 @@
 //! The [`CommonNeighborEstimator`] trait unifying all algorithms.
 
+use crate::engine::{ProtocolEnv, RoundContext};
 use crate::error::Result;
 use crate::estimate::{AlgorithmKind, EstimateReport};
 use crate::protocol::Query;
@@ -7,10 +8,18 @@ use bigraph::BipartiteGraph;
 
 /// A privacy-preserving estimator of the common-neighbor count `C2(u, w)`.
 ///
-/// Implementations take the *whole* graph because they simulate both the
-/// vertex side and the curator side of the protocol; the privacy guarantee is
-/// that everything recorded in the returned transcript — i.e. everything that
-/// crosses the client/curator boundary — satisfies `ε`-edge LDP.
+/// Implementations simulate both the vertex side and the curator side of the
+/// protocol; the privacy guarantee is that everything recorded in the
+/// returned transcript — i.e. everything that crosses the client/curator
+/// boundary — satisfies `ε`-edge LDP.
+///
+/// The protocol logic lives in [`CommonNeighborEstimator::estimate_in`],
+/// which runs in any [`ProtocolEnv`] (with or without an engine's warm
+/// adjacency cache) and records into a [`RoundContext`] whose accounting
+/// mode — lean or detailed — the caller chose when it opened the context.
+/// The provided [`CommonNeighborEstimator::estimate`] is the one-shot
+/// entry point: an uncached environment and a lean context. Both paths run
+/// the same code, so they cannot drift apart.
 ///
 /// The trait is object safe (`&mut dyn RngCore`), so experiment harnesses can
 /// iterate over a heterogeneous list of algorithms.
@@ -18,39 +27,38 @@ pub trait CommonNeighborEstimator {
     /// Which algorithm this is.
     fn kind(&self) -> AlgorithmKind;
 
-    /// Runs the protocol for `query` with total privacy budget `epsilon`.
+    /// Runs the protocol for `query` in `env`, reading and writing run
+    /// state (budget, transcript, RNG stream, scratch) through `ctx`.
     ///
     /// # Errors
     ///
     /// Returns an error for invalid queries (unknown vertices, `u == w`),
-    /// non-positive budgets, or mis-configured algorithm parameters.
+    /// an exhausted budget, or mis-configured algorithm parameters.
+    fn estimate_in(
+        &self,
+        env: ProtocolEnv<'_>,
+        query: &Query,
+        ctx: RoundContext<'_>,
+    ) -> Result<EstimateReport>;
+
+    /// Runs the protocol for `query` on `g` with total privacy budget
+    /// `epsilon`: [`CommonNeighborEstimator::estimate_in`] over
+    /// [`ProtocolEnv::uncached`] in a lean [`RoundContext`].
+    ///
+    /// # Errors
+    ///
+    /// Non-positive, NaN, or infinite budgets, and the contract of
+    /// [`CommonNeighborEstimator::estimate_in`].
     fn estimate(
         &self,
         g: &BipartiteGraph,
         query: &Query,
         epsilon: f64,
         rng: &mut dyn rand::RngCore,
-    ) -> Result<EstimateReport>;
-}
-
-/// Convenience: run `runs` independent estimates and return the raw values.
-///
-/// # Errors
-///
-/// Propagates the first error any run produces.
-pub fn repeated_estimates<E: CommonNeighborEstimator + ?Sized>(
-    estimator: &E,
-    g: &BipartiteGraph,
-    query: &Query,
-    epsilon: f64,
-    runs: usize,
-    rng: &mut dyn rand::RngCore,
-) -> Result<Vec<f64>> {
-    let mut out = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        out.push(estimator.estimate(g, query, epsilon, rng)?.estimate);
+    ) -> Result<EstimateReport> {
+        let ctx = RoundContext::begin(epsilon, rng)?;
+        self.estimate_in(ProtocolEnv::uncached(g), query, ctx)
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -85,15 +93,5 @@ mod tests {
             assert_eq!(report.algorithm, algo.kind());
             assert!(report.estimate.is_finite());
         }
-    }
-
-    #[test]
-    fn repeated_estimates_length() {
-        let g = toy();
-        let q = Query::new(Layer::Upper, 0, 1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let vals = repeated_estimates(&OneR::default(), &g, &q, 2.0, 25, &mut rng).unwrap();
-        assert_eq!(vals.len(), 25);
-        assert!(vals.iter().all(|v| v.is_finite()));
     }
 }

@@ -21,7 +21,10 @@
 //!
 //! All algorithms implement [`CommonNeighborEstimator`] and return an
 //! [`EstimateReport`] containing the estimate, the exact privacy-budget
-//! accounting, and a byte-accurate communication transcript.
+//! accounting, and a byte-accurate communication transcript. The protocol
+//! runs in [`CommonNeighborEstimator::estimate_in`], inside a
+//! [`RoundContext`] whose opener picks lean or detailed accounting;
+//! [`CommonNeighborEstimator::estimate`] is the one-shot shortcut.
 //!
 //! ## Serving repeated queries
 //!
@@ -39,8 +42,9 @@
 //! ingests epoch-counted [`bigraph::UpdateBatch`]es of streaming edge
 //! updates, precisely invalidating only the touched vertices' cached
 //! bitmaps, and generation-checked readers
-//! ([`EstimationEngine::estimate_batch_at`]) detect snapshots superseded by
-//! updates instead of silently serving them. Caches can be byte-capped with
+//! ([`EstimationEngine::estimate_batch_at`]) are rejected, before any
+//! protocol round, when updates superseded the state they derived their
+//! query from, instead of being silently served. Caches can be byte-capped with
 //! LRU eviction ([`EstimationEngine::with_cache_budget`]) for graphs too
 //! large to cache in full. See the [`engine`] module docs for the cache,
 //! mutation & invalidation lifecycles and the determinism contract.
@@ -105,10 +109,7 @@ pub use batch::{
 };
 pub use central::CentralDP;
 pub use double_source::{MultiRDS, MultiRDSBasic, MultiRDSStar};
-pub use engine::{
-    run_detailed, AdjacencyStore, EngineEstimator, EstimationEngine, ProtocolEnv, RoundContext,
-    ScratchArena,
-};
+pub use engine::{AdjacencyStore, EstimationEngine, ProtocolEnv, RoundContext, ScratchArena};
 pub use error::{CneError, Result};
 pub use estimate::{AlgorithmKind, EstimateReport};
 pub use estimator::CommonNeighborEstimator;

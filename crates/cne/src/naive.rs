@@ -1,11 +1,10 @@
 //! The `Naive` baseline (Algorithm 1): count common neighbors on the noisy graph.
 
-use crate::engine::{EngineEstimator, ProtocolEnv, RoundContext};
+use crate::engine::{ProtocolEnv, RoundContext};
 use crate::error::Result;
 use crate::estimate::{AlgorithmKind, ChosenParameters, EstimateReport};
 use crate::estimator::CommonNeighborEstimator;
 use crate::protocol::{randomized_response_round_packed, Query};
-use bigraph::BipartiteGraph;
 use ldp::noisy_graph::NoisyGraphViewPacked;
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +18,11 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Naive;
 
-impl EngineEstimator for Naive {
+impl CommonNeighborEstimator for Naive {
+    fn kind(&self) -> AlgorithmKind {
+        AlgorithmKind::Naive
+    }
+
     fn estimate_in(
         &self,
         env: ProtocolEnv<'_>,
@@ -60,25 +63,10 @@ impl EngineEstimator for Naive {
     }
 }
 
-impl CommonNeighborEstimator for Naive {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::Naive
-    }
-
-    fn estimate(
-        &self,
-        g: &BipartiteGraph,
-        query: &Query,
-        epsilon: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<EstimateReport> {
-        crate::engine::run_uncached(self, g, query, epsilon, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bigraph::BipartiteGraph;
     use bigraph::Layer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

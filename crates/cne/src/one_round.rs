@@ -1,11 +1,10 @@
 //! The `OneR` algorithm (Algorithm 2): a one-round unbiased estimator.
 
-use crate::engine::{EngineEstimator, ProtocolEnv, RoundContext};
+use crate::engine::{ProtocolEnv, RoundContext};
 use crate::error::Result;
 use crate::estimate::{AlgorithmKind, ChosenParameters, EstimateReport};
 use crate::estimator::CommonNeighborEstimator;
 use crate::protocol::{randomized_response_round_packed, Query};
-use bigraph::BipartiteGraph;
 use ldp::noisy_graph::NoisyGraphViewPacked;
 use serde::{Deserialize, Serialize};
 
@@ -59,7 +58,11 @@ impl OneR {
     }
 }
 
-impl EngineEstimator for OneR {
+impl CommonNeighborEstimator for OneR {
+    fn kind(&self) -> AlgorithmKind {
+        AlgorithmKind::OneR
+    }
+
     fn estimate_in(
         &self,
         env: ProtocolEnv<'_>,
@@ -108,25 +111,10 @@ impl EngineEstimator for OneR {
     }
 }
 
-impl CommonNeighborEstimator for OneR {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::OneR
-    }
-
-    fn estimate(
-        &self,
-        g: &BipartiteGraph,
-        query: &Query,
-        epsilon: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<EstimateReport> {
-        crate::engine::run_uncached(self, g, query, epsilon, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bigraph::BipartiteGraph;
     use bigraph::Layer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -96,16 +96,18 @@
 //! The `snapshot-tool` binary (`cargo run --bin snapshot-tool`) writes,
 //! inspects, and verifies the same files from the command line.
 //!
-//! # Staleness is a retry hint
+//! # Generation cursors
 //!
-//! Generation-checked entry points on the serving tier
-//! ([`ServingEngine::estimate_at`] / [`estimate_batch_at`](ServingEngine::estimate_batch_at))
-//! treat [`CneError::StaleGeneration`](crate::CneError::StaleGeneration) as a hint, not an error: on a
-//! generation miss they transparently re-run on the freshly pinned
-//! snapshot and report the generation actually served. Callers that manage
-//! their own engine use
-//! [`EstimationEngine::estimate_with_retry`] for the same bounded-retry
-//! semantics.
+//! A pinned snapshot never goes stale: its buffer cannot change while the
+//! pin is held, so a reader that needs to know which state it was served
+//! pins once, reads [`EngineSnapshot::generation`], and queries the
+//! snapshot — `let s = serving.snapshot(); (s.estimate_batch(…),
+//! s.generation())`. There is nothing to retry. The strict guards
+//! ([`EstimationEngine::estimate_at`] /
+//! [`EstimationEngine::estimate_batch_at`], which reject a stale cursor
+//! with [`CneError::StaleGeneration`](crate::CneError::StaleGeneration)
+//! before any protocol round) are for callers that own an engine and
+//! mutate it between queries.
 //!
 //! ```
 //! use bigraph::{BipartiteGraph, GraphDelta, Layer};
@@ -755,68 +757,6 @@ impl ServingEngine {
     ) -> Result<Vec<BatchReport>> {
         self.snapshot()
             .estimate_many_targets(layer, targets, candidates, epsilon, seed)
-    }
-
-    /// Generation-checked estimate with transparent re-resolution: runs on
-    /// a freshly pinned snapshot, and if `generation` is stale (updates
-    /// published since the caller derived its state) the query is re-run
-    /// on the snapshot's current state instead of erroring. Returns the
-    /// report together with the generation actually served, so the caller
-    /// can refresh its cursor.
-    ///
-    /// A stale first attempt consumes no randomness from `rng` (the
-    /// generation check runs before any protocol round), so the served
-    /// report is byte-identical to a first-try success at that generation.
-    ///
-    /// # Errors
-    ///
-    /// The contract of [`EstimationEngine::estimate`];
-    /// [`CneError::StaleGeneration`](crate::CneError::StaleGeneration) is consumed internally.
-    pub fn estimate_at(
-        &self,
-        generation: u64,
-        query: &Query,
-        kind: AlgorithmKind,
-        epsilon: f64,
-        rng: &mut dyn RngCore,
-    ) -> Result<(EstimateReport, u64)> {
-        let snap = self.snapshot();
-        let mut cursor = generation;
-        let report =
-            snap.engine()
-                .estimate_with_retry(&mut cursor, query, kind, epsilon, rng, 1)?;
-        Ok((report, cursor))
-    }
-
-    /// Batch counterpart of [`ServingEngine::estimate_at`]: generation
-    /// miss → transparent re-run on the pinned snapshot, returning the
-    /// generation served.
-    ///
-    /// # Errors
-    ///
-    /// The contract of [`EstimationEngine::estimate_batch`];
-    /// [`CneError::StaleGeneration`](crate::CneError::StaleGeneration) is consumed internally.
-    pub fn estimate_batch_at(
-        &self,
-        generation: u64,
-        layer: Layer,
-        target: VertexId,
-        candidates: &[VertexId],
-        epsilon: f64,
-        rng: &mut dyn RngCore,
-    ) -> Result<(BatchReport, u64)> {
-        let snap = self.snapshot();
-        let mut cursor = generation;
-        let report = snap.engine().estimate_batch_with_retry(
-            &mut cursor,
-            layer,
-            target,
-            candidates,
-            epsilon,
-            rng,
-            1,
-        )?;
-        Ok((report, cursor))
     }
 
     /// Blocks until every delta appended before this call is published

@@ -1,12 +1,12 @@
 //! The `MultiR-SS` algorithm (Algorithm 3): a two-round single-source estimator.
 
-use crate::engine::{EngineEstimator, ProtocolEnv, RoundContext, ScratchArena};
+use crate::engine::{ProtocolEnv, RoundContext, ScratchArena};
 use crate::error::{CneError, Result};
 use crate::estimate::{AlgorithmKind, ChosenParameters, EstimateReport};
 use crate::estimator::CommonNeighborEstimator;
 use crate::protocol::{randomized_response_round_packed, Query};
 use bigraph::bitset::PackedSet;
-use bigraph::{BipartiteGraph, Layer, VertexId};
+use bigraph::{Layer, VertexId};
 use ldp::budget::{Composition, PrivacyBudget};
 use ldp::laplace::LaplaceMechanism;
 use ldp::mechanism::Sensitivity;
@@ -151,7 +151,11 @@ pub fn single_source_laplace(
     Ok(LaplaceMechanism::new(epsilon2, sensitivity))
 }
 
-impl EngineEstimator for MultiRSS {
+impl CommonNeighborEstimator for MultiRSS {
+    fn kind(&self) -> AlgorithmKind {
+        AlgorithmKind::MultiRSS
+    }
+
     fn estimate_in(
         &self,
         env: ProtocolEnv<'_>,
@@ -199,25 +203,10 @@ impl EngineEstimator for MultiRSS {
     }
 }
 
-impl CommonNeighborEstimator for MultiRSS {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::MultiRSS
-    }
-
-    fn estimate(
-        &self,
-        g: &BipartiteGraph,
-        query: &Query,
-        epsilon: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<EstimateReport> {
-        crate::engine::run_uncached(self, g, query, epsilon, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bigraph::BipartiteGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

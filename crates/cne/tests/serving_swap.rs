@@ -13,9 +13,9 @@
 //! 2. **Pin stability** — a held snapshot keeps serving its epoch's state,
 //!    bit-for-bit, while the writer publishes newer epochs underneath it,
 //!    and fresh snapshots see the new state immediately.
-//! 3. **Retry-hint semantics** — generation misses on the serving tier are
-//!    transparently re-resolved, and the bounded-retry engine helper
-//!    consumes no randomness on a rejected attempt.
+//! 3. **Generation cursors** — a snapshot pinned after a publish serves
+//!    its own generation with no retry, and a stale generation-checked
+//!    engine read is rejected before it consumes any randomness.
 //! 4. **Convergence** — after the log drains, the final engine state
 //!    equals a reference replay of the same delta stream, regardless of
 //!    how the writer chunked it into batches.
@@ -273,7 +273,7 @@ fn concurrent_readers_always_see_consistent_snapshots() {
 }
 
 #[test]
-fn stale_generation_is_a_transparent_retry_on_the_serving_tier() {
+fn snapshot_pinned_after_a_publish_serves_its_generation_without_retry() {
     let serving = ServingEngine::with_config(base_graph(), test_config());
     let candidates: Vec<u32> = (1..6).collect();
     let stale_generation = serving.snapshot().generation();
@@ -285,44 +285,47 @@ fn stale_generation_is_a_transparent_retry_on_the_serving_tier() {
     });
     serving.flush();
 
-    // The serving tier re-resolves instead of erroring, reports the
-    // generation actually served, and the result is byte-identical to a
-    // caller that had a fresh cursor all along.
-    let mut rng = StdRng::seed_from_u64(9);
-    let (report, served) = serving
-        .estimate_batch_at(
-            stale_generation,
-            Layer::Upper,
-            0,
-            &candidates,
-            2.0,
-            &mut rng,
-        )
-        .unwrap();
+    // Pinning re-resolves: the snapshot names the generation it serves,
+    // and its answer is byte-identical to a fresh-seed run at that
+    // generation — through the strict guard with the refreshed cursor,
+    // and on a cold engine over the snapshot's graph.
+    let snap = serving.snapshot();
+    let served = snap.generation();
+    assert_ne!(served, stale_generation);
     assert_eq!(served, 1);
     let mut rng = StdRng::seed_from_u64(9);
-    let (fresh_report, fresh_served) = serving
+    let report = snap
+        .estimate_batch(Layer::Upper, 0, &candidates, 2.0, &mut rng)
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(9);
+    let fresh_report = snap
         .estimate_batch_at(served, Layer::Upper, 0, &candidates, 2.0, &mut rng)
         .unwrap();
-    assert_eq!(fresh_served, served);
     assert_eq!(bits(&report), bits(&fresh_report));
+    let cold = EstimationEngine::new(snap.graph());
+    let mut rng = StdRng::seed_from_u64(9);
+    let cold_report = cold
+        .estimate_batch(Layer::Upper, 0, &candidates, 2.0, &mut rng)
+        .unwrap();
+    assert_eq!(bits(&report), bits(&cold_report));
+    assert_eq!(report.transcript, cold_report.transcript);
 
     // Point-query flavour.
     let q = Query::new(Layer::Upper, 1, 2);
     let mut rng = StdRng::seed_from_u64(11);
-    let (point, point_served) = serving
-        .estimate_at(stale_generation, &q, AlgorithmKind::OneR, 2.0, &mut rng)
+    let point = snap
+        .estimate(&q, AlgorithmKind::OneR, 2.0, &mut rng)
         .unwrap();
     let mut rng = StdRng::seed_from_u64(11);
-    let (point_fresh, _) = serving
-        .estimate_at(point_served, &q, AlgorithmKind::OneR, 2.0, &mut rng)
+    let point_fresh = snap
+        .estimate_at(served, &q, AlgorithmKind::OneR, 2.0, &mut rng)
         .unwrap();
     assert_eq!(point.estimate.to_bits(), point_fresh.estimate.to_bits());
     assert_eq!(point.transcript, point_fresh.transcript);
 }
 
 #[test]
-fn bounded_retry_helper_consumes_no_randomness_on_rejection() {
+fn stale_checked_reads_consume_no_randomness() {
     let mut engine = EstimationEngine::from_graph(base_graph());
     let stale = engine.generation();
     let mut batch = UpdateBatch::new();
@@ -331,38 +334,39 @@ fn bounded_retry_helper_consumes_no_randomness_on_rejection() {
 
     let candidates: Vec<u32> = (1..6).collect();
 
-    // max_retries = 0 keeps the strict stale-rejection semantics.
-    let mut cursor = stale;
+    // The stale cursor is rejected with the structured error, which
+    // carries the current generation as the retry hint.
     let mut rng = StdRng::seed_from_u64(3);
     let err = engine
-        .estimate_batch_with_retry(&mut cursor, Layer::Upper, 0, &candidates, 2.0, &mut rng, 0)
+        .estimate_batch_at(stale, Layer::Upper, 0, &candidates, 2.0, &mut rng)
         .unwrap_err();
     assert_eq!(err.stale_current(), Some(1));
     assert!(matches!(err, CneError::StaleGeneration { observed: 0, .. }));
 
-    // One retry succeeds, advances the cursor, and — because the rejected
-    // attempt consumed no randomness — the report is byte-identical to a
-    // first-try success with the same seed.
-    let mut cursor = stale;
-    let mut rng = StdRng::seed_from_u64(3);
+    // The rejection ran before any protocol round: re-issuing on the same
+    // rng with the refreshed cursor is byte-identical to a first-try
+    // success with the same seed.
+    let cursor = err.stale_current().unwrap();
     let retried = engine
-        .estimate_batch_with_retry(&mut cursor, Layer::Upper, 0, &candidates, 2.0, &mut rng, 1)
+        .estimate_batch_at(cursor, Layer::Upper, 0, &candidates, 2.0, &mut rng)
         .unwrap();
-    assert_eq!(cursor, 1);
     let mut rng = StdRng::seed_from_u64(3);
     let direct = engine
         .estimate_batch(Layer::Upper, 0, &candidates, 2.0, &mut rng)
         .unwrap();
     assert_eq!(bits(&retried), bits(&direct));
 
-    // Point-query flavour of the helper.
+    // Point-query flavour.
     let q = Query::new(Layer::Upper, 1, 2);
-    let mut cursor = stale;
     let mut rng = StdRng::seed_from_u64(4);
-    let report = engine
-        .estimate_with_retry(&mut cursor, &q, AlgorithmKind::MultiRSS, 2.0, &mut rng, 1)
-        .unwrap();
+    let err = engine
+        .estimate_at(stale, &q, AlgorithmKind::MultiRSS, 2.0, &mut rng)
+        .unwrap_err();
+    let cursor = err.stale_current().unwrap();
     assert_eq!(cursor, 1);
+    let report = engine
+        .estimate_at(cursor, &q, AlgorithmKind::MultiRSS, 2.0, &mut rng)
+        .unwrap();
     let mut rng = StdRng::seed_from_u64(4);
     let direct = engine
         .estimate(&q, AlgorithmKind::MultiRSS, 2.0, &mut rng)

@@ -7,8 +7,8 @@
 use bigraph::{BipartiteGraph, Layer};
 use cne::batch::BatchSingleSource;
 use cne::{
-    run_detailed, CentralDP, EngineEstimator, MultiRDS, MultiRDSBasic, MultiRDSStar, MultiRSS,
-    Naive, OneR, Query,
+    CentralDP, CommonNeighborEstimator, MultiRDS, MultiRDSBasic, MultiRDSStar, MultiRSS, Naive,
+    OneR, ProtocolEnv, Query, RoundContext,
 };
 use ldp::budget::{BudgetAccountant, Composition};
 use ldp::transcript::{Direction, Transcript};
@@ -34,7 +34,7 @@ fn arb_instance() -> impl Strategy<Value = (BipartiteGraph, Query)> {
     })
 }
 
-fn estimators() -> Vec<Box<dyn EngineEstimator>> {
+fn estimators() -> Vec<Box<dyn CommonNeighborEstimator>> {
     vec![
         Box::new(Naive),
         Box::new(OneR::default()),
@@ -130,7 +130,8 @@ proptest! {
             let mut rng_lean = StdRng::seed_from_u64(seed);
             let mut rng_detail = StdRng::seed_from_u64(seed);
             let lean = est.estimate(&g, &query, epsilon, &mut rng_lean).unwrap();
-            let detail = run_detailed(est.as_ref(), &g, &query, epsilon, &mut rng_detail).unwrap();
+            let ctx = RoundContext::begin_detailed(epsilon, &mut rng_detail).unwrap();
+            let detail = est.estimate_in(ProtocolEnv::uncached(&g), &query, ctx).unwrap();
 
             prop_assert_eq!(lean.estimate.to_bits(), detail.estimate.to_bits());
             prop_assert_eq!(
@@ -162,8 +163,9 @@ proptest! {
         let lean = algo
             .estimate_batch(&g, Layer::Upper, 0, &candidates, epsilon, &mut rng_lean)
             .unwrap();
+        let ctx = RoundContext::begin_detailed(epsilon, &mut rng_detail).unwrap();
         let detail = algo
-            .estimate_batch_detailed(&g, Layer::Upper, 0, &candidates, epsilon, &mut rng_detail)
+            .estimate_batch_in(ProtocolEnv::uncached(&g), Layer::Upper, 0, &candidates, ctx)
             .unwrap();
 
         let bits = |r: &cne::BatchReport| -> Vec<u64> {

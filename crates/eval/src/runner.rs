@@ -12,7 +12,7 @@ use crate::metrics::{ErrorMetrics, Observation};
 use bigraph::sampling::QueryPair;
 use bigraph::BipartiteGraph;
 use cne::{
-    AlgorithmKind, CentralDP, EngineEstimator, EstimationEngine, MultiRDS, MultiRDSBasic,
+    AlgorithmKind, CentralDP, CommonNeighborEstimator, EstimationEngine, MultiRDS, MultiRDSBasic,
     MultiRDSStar, MultiRSS, Naive, OneR, Query,
 };
 use rand::SeedableRng;
@@ -94,16 +94,20 @@ impl AlgorithmSelection {
 
 /// Builds a boxed estimator for a selection.
 ///
-/// The estimator is engine-capable: it can run standalone
-/// ([`cne::CommonNeighborEstimator::estimate`]) or through an
-/// [`EstimationEngine`]'s warm cache — byte-identically.
+/// The estimator runs standalone
+/// ([`cne::CommonNeighborEstimator::estimate`]), through an
+/// [`EstimationEngine`]'s warm cache ([`EstimationEngine::estimate_with`]),
+/// or in any caller-opened context
+/// ([`cne::CommonNeighborEstimator::estimate_in`]) — byte-identically.
 ///
 /// # Panics
 ///
 /// Panics if a fraction parameter is outside `(0, 1)` — selections are
 /// experiment configuration, so this is a programming error.
 #[must_use]
-pub fn build_estimator(selection: &AlgorithmSelection) -> Box<dyn EngineEstimator + Send + Sync> {
+pub fn build_estimator(
+    selection: &AlgorithmSelection,
+) -> Box<dyn CommonNeighborEstimator + Send + Sync> {
     match *selection {
         AlgorithmSelection::Naive => Box::new(Naive),
         AlgorithmSelection::OneR => Box::new(OneR::default()),

@@ -4,7 +4,7 @@
 //! single dependency:
 //!
 //! * [`bigraph`] — bipartite graph storage, exact common-neighbor operators,
-//!   motifs, sampling,
+//!   sampling,
 //! * [`ldp`] — randomized response, Laplace mechanism, privacy-budget
 //!   accounting, communication transcripts,
 //! * [`datasets`] — synthetic stand-ins for the paper's 15 KONECT datasets and

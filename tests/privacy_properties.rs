@@ -4,8 +4,8 @@
 
 use bigraph::{BipartiteGraph, Layer};
 use cne::{
-    run_detailed, CentralDP, CommonNeighborEstimator, EngineEstimator, MultiRDS, MultiRDSBasic,
-    MultiRDSStar, MultiRSS, Naive, OneR, Query,
+    CentralDP, CommonNeighborEstimator, MultiRDS, MultiRDSBasic, MultiRDSStar, MultiRSS, Naive,
+    OneR, ProtocolEnv, Query, RoundContext,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -45,7 +45,7 @@ proptest! {
         fraction in 0.1f64..0.9,
         seed in any::<u64>(),
     ) {
-        let algorithms: Vec<Box<dyn EngineEstimator>> = vec![
+        let algorithms: Vec<Box<dyn CommonNeighborEstimator>> = vec![
             Box::new(Naive),
             Box::new(OneR::default()),
             Box::new(MultiRSS::with_fraction(fraction).unwrap()),
@@ -58,7 +58,8 @@ proptest! {
         for algo in &algorithms {
             // Detailed mode so the per-charge ledger is retained; the
             // default lean mode keeps only the (identical) totals.
-            let report = run_detailed(algo.as_ref(), &g, &query, epsilon, &mut rng).unwrap();
+            let ctx = RoundContext::begin_detailed(epsilon, &mut rng).unwrap();
+            let report = algo.estimate_in(ProtocolEnv::uncached(&g), &query, ctx).unwrap();
             prop_assert!(report.budget.consumed() <= epsilon * (1.0 + 1e-9) + 1e-9);
             prop_assert!(report.estimate.is_finite());
             // Every charge in the accounting is positive and labelled.
